@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
-from .core import DecisionCriterion, MassFunction, conjunctive_consensus, total_conflict
+from .core import DecisionCriterion, MassFunction, conjunctive_consensus
 from .errors import (
     ConfigError,
     EvidenceError,
@@ -68,14 +69,13 @@ def _add_rule_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _rule_from_args(args: argparse.Namespace) -> RuleConfig:
-    rule = Rule(args.rule)
-    if rule is Rule.TCN:
-        if args.tnorm is None or args.tconorm is None:
-            raise ConfigError("--rule tcn requires both --tnorm and --tconorm")
-        return RuleConfig(rule, TNorm(args.tnorm), TConorm(args.tconorm))
-    if args.tnorm is not None or args.tconorm is not None:
-        raise ConfigError("--tnorm/--tconorm are only meaningful with --rule tcn")
-    return RuleConfig(rule)
+    tnorm = TNorm(args.tnorm) if args.tnorm is not None else None
+    tconorm = TConorm(args.tconorm) if args.tconorm is not None else None
+    try:
+        return RuleConfig(Rule(args.rule), tnorm, tconorm)
+    except ConfigError as exc:
+        # spell the fields RuleConfig names as the flags that set them
+        raise ConfigError(re.sub(r"\b(rule|tnorm|tconorm)\b", r"--\1", str(exc))) from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -98,7 +98,7 @@ def _fusion_report(cfg: RuleConfig, m1: MassFunction, m2: MassFunction,
     }
     return {
         "rule": cfg.describe(),
-        "total_conflict": total_conflict(m1, m2),
+        "total_conflict": consensus.conflict,
         "redistributed": redistributed,
     }
 

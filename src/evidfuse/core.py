@@ -21,7 +21,8 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import fsum, isfinite
-from typing import Iterable, Mapping
+from operator import mul
+from typing import Callable, Iterable, Mapping
 
 from .errors import FrameError, FrameMismatchError, MassFunctionError
 
@@ -285,6 +286,40 @@ class ConsensusResult:
         return {bits: v for bits, v in self.masses.items() if bits != 0 and v != 0.0}
 
 
+def _fuse_pairs(m1: MassFunction, m2: MassFunction, tnorm: Callable[[float, float], float],
+                tconorm: Callable[[float, float], float] | None = None) -> dict[int, float]:
+    """The focal-pair kernel shared by the consensus and every rule.
+
+    Each pair of focal sets (A, B) with masses (va, vb) contributes
+    ``t = tnorm(va, vb)``; pairs with ``t == 0`` contribute nothing. A pair
+    with a nonempty intersection adds ``t`` to ``A & B``. A conflicting pair
+    (``A & B`` empty) adds ``t`` to the empty set when ``tconorm`` is None;
+    otherwise it is sent back to its sources, A gaining ``va * r`` and B
+    gaining ``vb * r`` with ``r = t / tconorm(va, vb)``. The division is safe
+    because ``t > 0`` implies ``tconorm(va, vb) >= max(va, vb) >= t``.
+
+    Per-subset accumulation uses an accurately rounded sum, which makes the
+    result independent of argument order bit for bit. Nothing is normalized.
+    """
+    _require_same_frame(m1, m2)
+    terms: dict[int, list[float]] = defaultdict(list)
+    pairs = list(m2.masses.items())
+    keep_conflict = tconorm is None
+    for a, va in m1.masses.items():
+        for b, vb in pairs:
+            t = tnorm(va, vb)
+            if t == 0.0:
+                continue
+            x = a & b
+            if x or keep_conflict:
+                terms[x].append(t)
+            else:
+                r = t / tconorm(va, vb)
+                terms[a].append(va * r)
+                terms[b].append(vb * r)
+    return {bits: fsum(values) for bits, values in terms.items()}
+
+
 def conjunctive_consensus(m1: MassFunction, m2: MassFunction) -> ConsensusResult:
     """Unnormalized conjunctive combination of two sources.
 
@@ -293,13 +328,8 @@ def conjunctive_consensus(m1: MassFunction, m2: MassFunction) -> ConsensusResult
     Per-subset accumulation uses an accurately rounded sum, which makes the
     result independent of argument order bit for bit.
     """
-    frame = _require_same_frame(m1, m2)
-    terms: dict[int, list[float]] = defaultdict(list)
-    for a, va in m1.masses.items():
-        for b, vb in m2.masses.items():
-            terms[a & b].append(va * vb)
-    masses = {bits: fsum(values) for bits, values in terms.items()}
-    return ConsensusResult(frame, {bits: v for bits, v in masses.items() if v != 0.0})
+    # every accumulated product is positive, so no zero entry survives
+    return ConsensusResult(m1.frame, _fuse_pairs(m1, m2, mul))
 
 
 def total_conflict(m1: MassFunction, m2: MassFunction) -> float:

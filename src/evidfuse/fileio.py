@@ -127,19 +127,18 @@ def rule_config_from_json(data: object, path: str) -> RuleConfig:
             "%s.rule: unknown rule %r (choose from %s)"
             % (path, name, ", ".join(r.value for r in Rule))
         ) from None
-    tnorm = tconorm = None
-    if rule is Rule.TCN:
-        try:
-            tnorm = parse_tnorm(_require(data, "tnorm", str, path))
-        except ValueError as exc:
-            raise ConfigError("%s.tnorm: %s" % (path, exc)) from None
-        try:
-            tconorm = parse_tconorm(_require(data, "tconorm", str, path))
-        except ValueError as exc:
-            raise ConfigError("%s.tconorm: %s" % (path, exc)) from None
-    elif "tnorm" in data or "tconorm" in data:
-        raise ConfigError("%s: t-norm/t-conorm are only valid for the tcn rule" % path)
-    return RuleConfig(rule, tnorm, tconorm)
+    operators = {}
+    for key, parse in (("tnorm", parse_tnorm), ("tconorm", parse_tconorm)):
+        if key in data:
+            spelling = _require(data, key, str, path)
+            try:
+                operators[key] = parse(spelling)
+            except ValueError as exc:
+                raise ConfigError("%s.%s: %s" % (path, key, exc)) from None
+    try:
+        return RuleConfig(rule, **operators)
+    except ConfigError as exc:
+        raise ConfigError("%s: %s" % (path, exc)) from None
 
 
 def rule_config_to_json(cfg: RuleConfig) -> dict:
@@ -219,26 +218,33 @@ def simulation_config_to_json(cfg: MonteCarloConfig) -> dict:
 def load_declarations(path: str, frame: Frame) -> list[str]:
     """One declared label per line; blank lines are skipped."""
     declarations = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            label = line.strip()
-            if not label:
-                continue
-            if label not in frame.labels:
-                raise ConfigError(
-                    "%s, line %d: unknown label %r (frame is %s)"
-                    % (path, number, label, list(frame.labels))
-                )
-            declarations.append(label)
+    for number, line in enumerate(_read_text(path).split("\n"), start=1):
+        label = line.strip()
+        if not label:
+            continue
+        if label not in frame.labels:
+            raise ConfigError(
+                "%s, line %d: unknown label %r (frame is %s)"
+                % (path, number, label, list(frame.labels))
+            )
+        declarations.append(label)
     if not declarations:
         raise ConfigError("%s: no declarations found" % path)
     return declarations
 
 
-def _load_json(path: str) -> object:
+def _read_text(path: str) -> str:
+    """Whole file as text with universal newlines; bad UTF-8 is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: not valid UTF-8 (%s)" % (path, exc)) from exc
+
+
+def _load_json(path: str) -> object:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError("%s: invalid JSON (%s)" % (path, exc)) from exc
 

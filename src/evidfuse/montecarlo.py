@@ -18,7 +18,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -74,11 +73,6 @@ class Scenario:
         return result
 
 
-def build_scenario(frame: Frame, segments: Sequence[tuple[str, int]]) -> Scenario:
-    """Validate segments and return the scenario."""
-    return Scenario(frame, tuple((label, duration) for label, duration in segments))
-
-
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Everything a simulation needs; identical configs give identical output."""
@@ -120,6 +114,8 @@ class AveragedTrace:
 
     def mass(self, scan: int, key: object) -> float:
         """Mean mass of a focal set at a 1-based scan index."""
+        if not 1 <= scan <= len(self.truth):
+            raise FrameError("scan %r is outside 1..%d" % (scan, len(self.truth)))
         bits = _coerce_subset(self.frame, key)
         if bits == 0:
             raise FrameError("the empty set carries no mass")

@@ -13,6 +13,7 @@ proportional conflict split. A bounded sum is intentionally not offered.
 from __future__ import annotations
 
 import enum
+from operator import add, mul
 
 
 class TNorm(enum.Enum):
@@ -34,10 +35,6 @@ def _min(x: float, y: float) -> float:
     return x if x < y else y
 
 
-def _product(x: float, y: float) -> float:
-    return x * y
-
-
 def _bounded_product(x: float, y: float) -> float:
     return max(0.0, x + y - 1.0)
 
@@ -46,20 +43,16 @@ def _max(x: float, y: float) -> float:
     return x if x > y else y
 
 
-def _sum(x: float, y: float) -> float:
-    return x + y
-
-
 # Dispatch tables; rule internals use these directly to skip re-validation.
 TNORM_FUNCS = {
     TNorm.MIN: _min,
-    TNorm.PRODUCT: _product,
+    TNorm.PRODUCT: mul,
     TNorm.BOUNDED: _bounded_product,
 }
 
 TCONORM_FUNCS = {
     TConorm.MAX: _max,
-    TConorm.SUM: _sum,
+    TConorm.SUM: add,
 }
 
 

@@ -2,34 +2,35 @@
 
 All rules consume two normalized assignments over the same frame and return
 a valid :class:`~evidfuse.core.MassFunction`. None of them mutates its
-inputs, and all are commutative. Per-subset accumulation uses accurately
-rounded sums so that swapping the arguments yields bit-identical output.
+inputs, and all are commutative: per-subset accumulation uses accurately
+rounded sums, so swapping the arguments yields bit-identical output.
 
-Conflict handling is what distinguishes them:
+Every rule is one pass of the focal-pair kernel :func:`~evidfuse.core._fuse_pairs`
+followed by an optional normalize step. The rules differ in three choices:
 
-* Dempster's rule discards the conflicting mass and rescales everything
-  else by 1/(1 - K), failing loudly when K reaches 1.
-* PCR5 returns each partial conflict m1(A)*m2(B) (A and B disjoint) to A
-  and B in proportion to the masses that created it.
-* The TCN rule replaces products with a t-norm in the conjunctive stage,
-  redistributes each partial conflict using a t-norm/t-conorm ratio, and
-  normalizes at the end.
+* the conjunction op, applied to the masses of every focal pair (A, B):
+  the product for Dempster and PCR5, the configured t-norm for TCN;
+* the conflict step for a disjoint pair: Dempster leaves the partial
+  conflict on the empty set and then drops it; PCR5 returns m1(A)*m2(B) to
+  A and B in proportion to the masses that created it; TCN returns the
+  t-norm to A and B scaled by a t-norm/t-conorm ratio;
+* the normalize step: Dempster rescales the surviving mass by its total
+  and fails loudly when nothing survives, TCN divides by its total, PCR5
+  conserves mass by construction and is not normalized.
+
+With the product t-norm and the sum t-conorm, TCN runs the same kernel as
+PCR5 and differs from it only by the final normalization.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from math import fsum
+from operator import add, mul
 
-from .core import (
-    MassFunction,
-    _combined,
-    _require_same_frame,
-    conjunctive_consensus,
-)
-from .errors import TotalConflictError, VanishingConsensusError
+from .core import Frame, MassFunction, _combined, _fuse_pairs
+from .errors import ConfigError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
 #: A surviving consensus at or below this counts as total conflict.
@@ -48,7 +49,9 @@ class Rule(enum.Enum):
 class RuleConfig:
     """A rule selection plus the operator pair required by TCN.
 
-    ``tnorm``/``tconorm`` must be given exactly when ``rule`` is TCN.
+    ``tnorm``/``tconorm`` must be given exactly when ``rule`` is TCN. This is
+    the only check of that pairing; its messages name the fields ``rule``,
+    ``tnorm`` and ``tconorm`` so the CLI and config loader only relabel them.
     """
 
     rule: Rule
@@ -58,14 +61,23 @@ class RuleConfig:
     def __post_init__(self) -> None:
         if self.rule is Rule.TCN:
             if self.tnorm is None or self.tconorm is None:
-                raise ValueError("the TCN rule needs both a t-norm and a t-conorm")
+                raise ConfigError("rule tcn needs both tnorm and tconorm")
         elif self.tnorm is not None or self.tconorm is not None:
-            raise ValueError("t-norm/t-conorm are only meaningful for the TCN rule")
+            raise ConfigError("tnorm/tconorm are only meaningful with rule tcn")
 
     def describe(self) -> str:
         if self.rule is Rule.TCN:
             return "tcn(%s, %s)" % (self.tnorm.value, self.tconorm.value)
         return self.rule.value
+
+
+def _normalized(frame: Frame, masses: dict[int, float], floor: float, where: str) -> MassFunction | None:
+    """Divide `masses` by their accurate total, or None when the total is at
+    or below `floor` and the caller must report a degenerate fusion."""
+    total = fsum(masses.values())
+    if total <= floor:
+        return None
+    return _combined(frame, {bits: value / total for bits, value in masses.items()}, where=where)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -79,16 +91,14 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises :class:`TotalConflictError` instead of dividing by (almost) zero
     when the sources are totally conflicting.
     """
-    consensus = conjunctive_consensus(m1, m2)
-    nonempty = consensus.nonempty()
-    remaining = fsum(nonempty.values())
-    if remaining <= TOTAL_CONFLICT_MARGIN:
+    masses = _fuse_pairs(m1, m2, mul)
+    conflict = masses.pop(0, 0.0)
+    fused = _normalized(m1.frame, masses, TOTAL_CONFLICT_MARGIN, "dempster_combine")
+    if fused is None:
         raise TotalConflictError(
-            "total conflict between sources (K=%.17g); Dempster's rule is undefined"
-            % consensus.conflict
+            "total conflict between sources (K=%.17g); Dempster's rule is undefined" % conflict
         )
-    masses = {bits: value / remaining for bits, value in nonempty.items()}
-    return _combined(consensus.frame, masses, where="dempster_combine")
+    return fused
 
 
 def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -101,27 +111,12 @@ def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
         A gains m1(A)^2 m2(B) / (m1(A) + m2(B))
         B gains m2(B)^2 m1(A) / (m1(A) + m2(B))
 
-    Pairs whose masses are both zero contribute nothing. The output is not
+    Pairs whose product is zero contribute nothing. The output is not
     renormalized: redistribution conserves mass by construction, and the
     constructor's sum audit turns any implementation error into a failure
     rather than hiding it.
     """
-    frame = _require_same_frame(m1, m2)
-    terms: dict[int, list[float]] = defaultdict(list)
-    for a, va in m1.masses.items():
-        for b, vb in m2.masses.items():
-            x = a & b
-            if x:
-                terms[x].append(va * vb)
-                continue
-            denominator = va + vb
-            if denominator == 0.0:
-                continue
-            share = va * vb / denominator
-            terms[a].append(va * share)
-            terms[b].append(vb * share)
-    masses = {bits: fsum(values) for bits, values in terms.items()}
-    return _combined(frame, masses, where="pcr5_combine")
+    return _combined(m1.frame, _fuse_pairs(m1, m2, mul, add), where="pcr5_combine")
 
 
 def tcn_combine(
@@ -140,8 +135,7 @@ def tcn_combine(
     3. each conflicting pair returns mass to its two members, A gaining
        m1(A)*r and B gaining m2(B)*r with
        r = tnorm(m1(A), m2(B)) / tconorm(m1(A), m2(B))
-       (a vanishing t-conorm means a vanishing t-norm, and contributes
-       nothing);
+       (a vanishing t-norm contributes nothing);
     4. the result is divided by its total over nonempty subsets.
 
     Raises :class:`VanishingConsensusError` when step 4 would divide by
@@ -151,34 +145,14 @@ def tcn_combine(
     With the algebraic-product t-norm and the unclamped-sum t-conorm the
     steps above reproduce PCR5 exactly.
     """
-    frame = _require_same_frame(m1, m2)
-    tn = TNORM_FUNCS[tnorm]
-    tc = TCONORM_FUNCS[tconorm]
-    terms: dict[int, list[float]] = defaultdict(list)
-    for a, va in m1.masses.items():
-        for b, vb in m2.masses.items():
-            x = a & b
-            if x:
-                value = tn(va, vb)
-                if value != 0.0:
-                    terms[x].append(value)
-                continue
-            denominator = tc(va, vb)
-            if denominator == 0.0:
-                continue
-            ratio = tn(va, vb) / denominator
-            if ratio != 0.0:
-                terms[a].append(va * ratio)
-                terms[b].append(vb * ratio)
-    masses = {bits: fsum(values) for bits, values in terms.items()}
-    total = fsum(masses.values())
-    if total <= 0.0:
+    masses = _fuse_pairs(m1, m2, TNORM_FUNCS[tnorm], TCONORM_FUNCS[tconorm])
+    fused = _normalized(m1.frame, masses, 0.0, "tcn_combine")
+    if fused is None:
         raise VanishingConsensusError(
             "TCN consensus vanished for tnorm=%s, tconorm=%s (nothing to normalize)"
             % (tnorm.value, tconorm.value)
         )
-    normalized = {bits: value / total for bits, value in masses.items()}
-    return _combined(frame, normalized, where="tcn_combine")
+    return fused
 
 
 def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -145,6 +145,16 @@ def test_fuse_operators_with_plain_rule_exit_2(workdir, capsys):
     assert "--rule tcn" in capsys.readouterr().err
 
 
+def test_fuse_non_utf8_file_exits_2(workdir, capsys):
+    bad = workdir / "bad.json"
+    bad.write_bytes(b"\xff")
+    code = main(["fuse", str(bad), str(bad), "--rule", "pcr5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert str(bad) in err
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------
@@ -217,6 +227,17 @@ def test_track_empty_declarations_exits_2(workdir, tmp_path, capsys):
                  "--rule", "pcr5", "-o", str(tmp_path / "t.csv")])
     assert code == 2
     assert "no declarations" in capsys.readouterr().err
+
+
+def test_track_non_utf8_declarations_exits_2(workdir, tmp_path, capsys):
+    decls = workdir / "bad.txt"
+    decls.write_bytes(b"Fighter\n\xff\n")
+    code = main(["track", str(decls), "--confusion", path(workdir, "cm.json"),
+                 "--rule", "pcr5", "-o", str(tmp_path / "t.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert str(decls) in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from evidfuse import (
     AveragedTrace,
     ConfigError,
     EvidenceError,
+    FrameError,
     MonteCarloConfig,
     Rule,
     RuleConfig,
@@ -16,7 +17,6 @@ from evidfuse import (
     SplitMix64,
     TConorm,
     TNorm,
-    build_scenario,
     default_config,
     default_confusion,
     default_frame,
@@ -49,13 +49,13 @@ def small_config(runs=70, master_seed=1234, rules=None):
 # ---------------------------------------------------------------------------
 
 def test_scenario_expand():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 2), ("Fighter", 3)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3)))
     assert scenario.total_scans == 5
     assert scenario.expand() == ("Cargo", "Cargo", "Fighter", "Fighter", "Fighter")
 
 
 def test_scenario_single_segment():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 1)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 1),))
     assert scenario.expand() == ("Cargo",)
     assert scenario.switches() == []
 
@@ -72,11 +72,11 @@ def test_scenario_switches():
 
 def test_scenario_rejects_bad_segments():
     with pytest.raises(EvidenceError):
-        build_scenario(FC_FRAME, [])
+        Scenario(FC_FRAME, ())
     with pytest.raises(EvidenceError):
-        build_scenario(FC_FRAME, [("Cargo", 0)])
+        Scenario(FC_FRAME, (("Cargo", 0),))
     with pytest.raises(EvidenceError):
-        build_scenario(FC_FRAME, [("Bomber", 5)])
+        Scenario(FC_FRAME, (("Bomber", 5),))
 
 
 def test_config_validation():
@@ -174,7 +174,7 @@ def test_mean_masses_stay_normalized():
 
 def test_perfect_classifier_is_always_correct():
     cfg = MonteCarloConfig(
-        scenario=build_scenario(default_frame(), [("Cargo", 4), ("Fighter", 4)]),
+        scenario=Scenario(default_frame(), (("Cargo", 4), ("Fighter", 4))),
         confusion=identity_confusion(default_frame()),
         rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX)),
         runs=8,
@@ -188,7 +188,7 @@ def test_errors_carry_run_rule_scan_context():
     # Dempster cannot absorb the contradiction a perfect classifier produces
     # at the truth switch
     cfg = MonteCarloConfig(
-        scenario=build_scenario(default_frame(), [("Cargo", 2), ("Fighter", 1)]),
+        scenario=Scenario(default_frame(), (("Cargo", 2), ("Fighter", 1))),
         confusion=identity_confusion(default_frame()),
         rules=(RuleConfig(Rule.DEMPSTER),),
         runs=1,
@@ -204,6 +204,13 @@ def test_trace_accessors():
     assert trace.mass(1, "Cargo") == trace.mean_masses[0, FC_FRAME.singleton("Cargo") - 1]
     series = trace.singleton_series("Fighter")
     assert series.shape == (100,)
+
+
+@pytest.mark.parametrize("scan", [0, -1, 101])
+def test_trace_mass_rejects_scans_outside_the_track(scan):
+    trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
+    with pytest.raises(FrameError, match="outside 1..100"):
+        trace.mass(scan, "Fighter")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ def synthetic_trace(fighter_series, cargo_series):
 
 
 def test_readaptation_delay_counts_from_switch_scan():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 3), ("Fighter", 5)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 3), ("Fighter", 5)))
     fighter = [0.1, 0.1, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9]
     cargo = [0.8, 0.8, 0.8, 0.7, 0.5, 0.3, 0.1, 0.0]
     delays = readaptation_delays(synthetic_trace(fighter, cargo), scenario)
@@ -237,7 +244,7 @@ def test_readaptation_delay_counts_from_switch_scan():
 
 
 def test_readaptation_delay_immediate_crossing():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 2), ("Fighter", 2)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2)))
     delays = readaptation_delays(
         synthetic_trace([0.1, 0.6, 0.7, 0.8], [0.8, 0.3, 0.2, 0.1]), scenario
     )
@@ -245,7 +252,7 @@ def test_readaptation_delay_immediate_crossing():
 
 
 def test_readaptation_delay_never_crossing_is_inf():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 2), ("Fighter", 3)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3)))
     delays = readaptation_delays(
         synthetic_trace([0.1] * 5, [0.8] * 5), scenario
     )
@@ -254,7 +261,7 @@ def test_readaptation_delay_never_crossing_is_inf():
 
 def test_readaptation_delay_is_limited_to_the_new_segment():
     # the crossing after the segment ends must not count
-    scenario = build_scenario(FC_FRAME, [("Cargo", 2), ("Fighter", 2), ("Cargo", 2)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2), ("Cargo", 2)))
     fighter = [0.1, 0.1, 0.2, 0.3, 0.9, 0.9]
     cargo = [0.8, 0.8, 0.7, 0.6, 0.05, 0.05]
     delays = readaptation_delays(synthetic_trace(fighter, cargo), scenario)
@@ -263,7 +270,7 @@ def test_readaptation_delay_is_limited_to_the_new_segment():
 
 
 def test_readaptation_delay_threshold_parameter():
-    scenario = build_scenario(FC_FRAME, [("Cargo", 2), ("Fighter", 3)])
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3)))
     trace = synthetic_trace([0.1, 0.1, 0.3, 0.45, 0.6], [0.8, 0.8, 0.5, 0.3, 0.2])
     assert readaptation_delays(trace, scenario, threshold=0.5)[0].delay == 3.0
     assert readaptation_delays(trace, scenario, threshold=0.4)[0].delay == 2.0

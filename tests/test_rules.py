@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidfuse import (
+    EvidenceError,
+    Frame,
     Rule,
     RuleConfig,
     TConorm,
@@ -16,6 +18,7 @@ from evidfuse import (
     FrameMismatchError,
     combine,
     conjunctive_consensus,
+    default_rules,
     dempster_combine,
     make_bba,
     pcr5_combine,
@@ -23,6 +26,7 @@ from evidfuse import (
     vacuous_bba,
 )
 
+import seed_rules
 from conftest import ABC_FRAME, FC_FRAME, dyadic_bbas, float_bbas
 
 ALL_RULE_CONFIGS = [
@@ -234,3 +238,57 @@ def test_every_output_is_normalized():
         assert math.fsum(fused.masses.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0.0 for v in fused.masses.values())
         assert 0 not in fused.masses
+
+
+# ---------------------------------------------------------------------------
+# differential: the focal-pair kernel against the original loops
+# ---------------------------------------------------------------------------
+
+# Weight styles: "equal" makes every mass <= 1/2 once there are two focal
+# sets, so the bounded t-norm is zero on every pair; "extreme" mixes weights
+# whose pairwise products underflow to zero.
+_WEIGHTS = {
+    "float": st.floats(1e-6, 1.0),
+    "equal": st.just(1.0),
+    "extreme": st.sampled_from([1e-300, 1e-170, 1e-20, 0.5, 1.0, 3.0]),
+}
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two bbas over one random frame of 2..5 labels: one-focal, sparse or dense."""
+    size = draw(st.integers(2, 5))
+    frame = Frame(tuple("L%d" % i for i in range(size)))
+
+    def bba():
+        shape = draw(st.sampled_from(["one-focal", "some", "dense"]))
+        if shape == "dense":
+            subsets = list(frame.nonempty_subsets())
+        else:
+            subsets = draw(st.lists(st.integers(1, frame.full_set), min_size=1,
+                                    max_size=1 if shape == "one-focal" else frame.full_set,
+                                    unique=True))
+        weight = _WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))]
+        values = [draw(weight) for _ in subsets]
+        total = math.fsum(values)
+        return make_bba(frame, {s: v / total for s, v in zip(subsets, values)})
+
+    return bba(), bba()
+
+
+def _bits(fuse, *args):
+    """Every output mass as float.hex, or the type and text of the error."""
+    try:
+        masses = fuse(*args).masses
+    except EvidenceError as exc:
+        return type(exc), str(exc)
+    return sorted((bits, value.hex()) for bits, value in masses.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=kernel_inputs())
+def test_kernel_matches_original_loops_bit_for_bit(pair):
+    m1, m2 = pair
+    assert _bits(conjunctive_consensus, m1, m2) == _bits(seed_rules.conjunctive_consensus, m1, m2)
+    for cfg in default_rules():
+        assert _bits(combine, cfg, m1, m2) == _bits(seed_rules.combine, cfg, m1, m2), cfg.describe()
