@@ -289,7 +289,7 @@ def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
 def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str:
     """Averaged-trace CSV, one row per (rule, scan), in rule order then scan."""
     frame = cfg.frame
-    subsets, names, comment = _subset_columns(frame)
+    _, names, comment = _subset_columns(frame)
     truth = cfg.scenario.expand()
     out = io.StringIO()
     out.write(comment + "\n")
@@ -299,10 +299,14 @@ def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str
         rule = trace.rule
         tnorm = rule.tnorm.value if rule.tnorm is not None else ""
         tconorm = rule.tconorm.value if rule.tconorm is not None else ""
+        # mean_masses columns are already in subset order (column bits - 1),
+        # and Python floats format exactly like numpy's
+        masses = trace.mean_masses.tolist()
+        rates = trace.correct_rate.tolist()
         for k, true_type in enumerate(truth):
             row = [rule.rule.value, tnorm, tconorm, str(k + 1), true_type]
-            row += [format_mass(trace.mean_masses[k, bits - 1]) for bits in subsets]
-            row.append(format_mass(trace.correct_rate[k]))
+            row += map(format_mass, masses[k])
+            row.append(format_mass(rates[k]))
             writer.writerow(row)
     return out.getvalue()
 

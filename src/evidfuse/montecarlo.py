@@ -11,6 +11,43 @@ by :func:`~evidfuse.rng.derive_run_seed`, runs are accumulated in blocks of
 :data:`CHUNK_RUNS` consecutive runs, and block partial sums are merged in
 block order. The result is bit-identical no matter how many worker processes
 computed the blocks.
+
+Batch engine. A block tracks all of its (rule, run) pairs at once. Lane
+``j * R + r`` holds rule ``j`` on the block's ``r``-th run, and one
+``(lanes, M + 1)`` array holds every lane's current assignment: column
+``i < M`` is the singleton of label ``i``, column ``M`` is the full set.
+These M + 1 columns are all a track ever reaches: the prior starts vacuous,
+an observation's focal sets are the declared singleton and the full set, a
+singleton or the full set meets either of them in a singleton, the full set
+or the empty set, and PCR5 and TCN send a conflict back only to the pair's
+own focal sets. So a scan is one closed-form update, a fixed sequence of
+numpy operations over all lanes. Lanes differ only in their rule's
+t-norm/t-conorm (product/sum for Dempster and PCR5), in whether conflict is
+redistributed, and in the normalization floor. Blocks return compact
+``(scans, rules, M + 1)`` sums, which are scattered into the dense per-subset
+means once, after the merge.
+
+Bitwise contract: the output equals, bit for bit, what the scalar tracker
+(:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
+gives run by run. The scalar kernel sums the terms of each focal set with
+``math.fsum``. With declared singleton ``s`` and observation mass ``c``, a
+singleton ``i != s`` gets at most two terms, ``T(m_i, 1 - c)`` and, when
+conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
+correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
+The declared singleton gets 3 + (M - 1) terms, and the normalizer of
+Dempster and TCN sums M + 1 masses; both keep one ``fsum`` per lane. A pair
+the scalar kernel skips (t-norm 0) enters as an exact zero, which changes no
+sum. Runs are added to the block sums in run order, and ``argmax`` (first
+maximum) reproduces the lowest-index tie break of
+:func:`~evidfuse.core.decide` under both criteria.
+
+Degenerate lanes: the scalar output audit (finite, nonnegative, total within
+:data:`~evidfuse.core.SUM_TOLERANCE` of 1) and the normalizer floor are
+checked for all lanes once per scan. A flagged lane is parked on the vacuous
+assignment and the block carries on; at its end the lowest flagged run, then
+its first flagged rule in config order, is replayed through the scalar
+``run_track``, so the error raised is the scalar one, with its run, rule and
+scan context.
 """
 
 from __future__ import annotations
@@ -18,15 +55,16 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from math import fsum
 
 import numpy as np
 
-from .core import DecisionCriterion, Frame, _coerce_subset
+from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .rng import SplitMix64, derive_run_seed
-from .rules import Rule, RuleConfig
+from .rules import TOTAL_CONFLICT_MARGIN, Rule, RuleConfig
 from .tracker import ConfusionMatrix, run_track
-from .operators import TConorm, TNorm
+from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 
 #: Runs per accumulation block; fixed so results do not depend on worker count.
 CHUNK_RUNS = 32
@@ -141,33 +179,119 @@ def sample_decision(true_type: str, confusion: ConfusionMatrix, rng: SplitMix64)
     return confusion.frame.labels[len(row) - 1]  # guards fp residue in the row sum
 
 
-def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Accumulate mass sums and correct-decision counts for runs [start, stop)."""
-    truth = cfg.scenario.expand()
-    n_scans = len(truth)
-    n_subsets = cfg.frame.full_set
-    sums = [
-        (np.zeros((n_scans, n_subsets)), np.zeros(n_scans))
-        for _ in cfg.rules
+def _lane_rule(cfg: RuleConfig) -> tuple[TNorm, TConorm, bool, float | None]:
+    """(t-norm, t-conorm, redistributes conflict, normalization floor) of a
+    rule; a floor of None means the rule is not normalized."""
+    if cfg.rule is Rule.DEMPSTER:
+        return TNorm.PRODUCT, TConorm.SUM, False, TOTAL_CONFLICT_MARGIN
+    if cfg.rule is Rule.PCR5:
+        return TNorm.PRODUCT, TConorm.SUM, True, None
+    return cfg.tnorm, cfg.tconorm, True, 0.0
+
+
+def _per_lane(table: dict, kinds: tuple, n_runs: int, ndim: int):
+    """Elementwise operator that applies ``table[kinds[j]]`` on the lanes of
+    rule j; operands have ``ndim`` dimensions, lanes first."""
+    distinct = list(dict.fromkeys(kinds))
+    first = table[distinct[0]]
+    rest = [
+        (table[kind], np.repeat([k == kind for k in kinds], n_runs).reshape((-1,) + (1,) * (ndim - 1)))
+        for kind in distinct[1:]
     ]
+
+    def apply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = first(x, y)
+        for func, lanes in rest:
+            out = np.where(lanes, func(x, y), out)
+        return out
+
+    return apply
+
+
+def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mass sums ``(scans, rules, M + 1)`` and correct-decision counts
+    ``(scans, rules)`` of runs [start, stop), each added in run order."""
+    frame = cfg.frame
+    m = frame.size
+    truth = cfg.scenario.expand()
+    n_scans, n_runs, n_rules = len(truth), stop - start, len(cfg.rules)
+    lanes = n_rules * n_runs
+    index = {label: i for i, label in enumerate(frame.labels)}
+
+    runs = []
     for run_index in range(start, stop):
         rng = SplitMix64(derive_run_seed(cfg.master_seed, run_index))
-        declarations = [sample_decision(t, cfg.confusion, rng) for t in truth]
-        for j, rule_cfg in enumerate(cfg.rules):
-            try:
-                records = run_track(declarations, cfg.confusion, rule_cfg, cfg.criterion)
-            except EvidenceError as exc:
-                raise type(exc)(
-                    "run %d, rule %s: %s" % (run_index, rule_cfg.describe(), exc)
-                ) from exc
-            mass_sum, correct = sums[j]
-            for k, record in enumerate(records):
-                row = mass_sum[k]
-                for bits, value in record.posterior.masses.items():
-                    row[bits - 1] += value
-                if record.decision == truth[k]:
-                    correct[k] += 1.0
-    return sums
+        runs.append([sample_decision(t, cfg.confusion, rng) for t in truth])
+    declared = np.tile(np.array([[index[d] for d in run] for run in runs]).T, n_rules)
+    c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[declared]
+    obs = np.stack((c, 1.0 - c), axis=2)[..., None]  # (scans, lanes, 2, 1): mass on s, on the full set
+
+    tnorms, tconorms, redistributes, floors = zip(*map(_lane_rule, cfg.rules))
+    tnorm = _per_lane(TNORM_ARRAYS, tnorms, n_runs, 3)
+    tconorm = _per_lane(TCONORM_ARRAYS, tconorms, n_runs, 2)
+    conflicting = (declared[..., None] != np.arange(m)) & np.repeat(redistributes, n_runs)[:, None]
+    normalized = np.flatnonzero(np.repeat([floor is not None for floor in floors], n_runs))
+    floors = np.repeat([floor for floor in floors if floor is not None], n_runs)
+
+    rows = np.arange(lanes)
+    truth_index = [index[t] for t in truth]
+    vacuous = np.zeros(m + 1)
+    vacuous[m] = 1.0
+    masses = np.empty((n_scans, lanes, m + 1))  # every lane's posterior at every scan
+    correct = np.empty((n_scans, lanes), dtype=bool)
+    failed = np.zeros(lanes, dtype=bool)
+    prior = np.tile(vacuous, (lanes, 1))
+    for k in range(n_scans):
+        s = declared[k]
+        t = tnorm(prior[:, None, :], obs[k])  # focal pairs with s (t[:, 0]) and the full set (t[:, 1])
+        ratio = np.zeros((lanes, m))
+        np.divide(t[:, 0, :m], tconorm(prior[:, :m], obs[k, :, 0]), out=ratio,
+                  where=conflicting[k] & (t[:, 0, :m] != 0.0))
+        post = masses[k]
+        post[...] = t[:, 1]
+        post[:, :m] += prior[:, :m] * ratio
+        terms = np.column_stack((obs[k, :, 0] * ratio, t[rows, 0, s], t[:, 0, m], t[rows, 1, s]))
+        post[rows, s] = list(map(fsum, terms.tolist()))
+
+        totals = np.array(list(map(fsum, post[normalized].tolist())))
+        degenerate = totals <= floors
+        post[normalized] /= np.where(degenerate, 1.0, totals)[:, None]
+        bad = ~((post >= 0.0).all(axis=1) & (np.abs(post.sum(axis=1) - 1.0) <= SUM_TOLERANCE))
+        bad[normalized] |= degenerate
+        if bad.any():
+            failed |= bad
+            post[bad] = vacuous
+        prior = post
+
+        scores = post[:, :m]
+        if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
+            scores = scores + post[:, m:] / m
+        correct[k] = scores.argmax(axis=1) == truth_index[k]
+
+    if failed.any():
+        _replay_first_failure(cfg, runs, start, failed)
+    by_run = masses.reshape(n_scans, n_rules, n_runs, m + 1)
+    mass_sums = np.zeros((n_scans, n_rules, m + 1))
+    for r in range(n_runs):  # run order, as the scalar accumulation
+        mass_sums += by_run[:, :, r]
+    return mass_sums, correct.reshape(n_scans, n_rules, n_runs).sum(axis=2, dtype=np.float64)
+
+
+def _replay_first_failure(cfg: MonteCarloConfig, runs: list[list[str]], start: int,
+                          failed: np.ndarray) -> None:
+    """Raise the scalar tracker's error for the lowest failed run of a block,
+    first failed rule in config order."""
+    n_runs = len(runs)
+    r, j = min((int(lane) % n_runs, int(lane) // n_runs) for lane in np.flatnonzero(failed))
+    rule_cfg = cfg.rules[j]
+    try:
+        run_track(runs[r], cfg.confusion, rule_cfg, cfg.criterion)
+    except EvidenceError as exc:
+        raise type(exc)("run %d, rule %s: %s" % (start + r, rule_cfg.describe(), exc)) from exc
+    raise RuntimeError(
+        "internal error: the batch engine flagged run %d, rule %s, which the scalar tracker accepts"
+        % (start + r, rule_cfg.describe())
+    )
 
 
 def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTrace]:
@@ -180,28 +304,31 @@ def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTra
     if workers > 1 and len(bounds) > 1:
         starts = [b[0] for b in bounds]
         stops = [b[1] for b in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
             partials = list(pool.map(_run_block, repeat(cfg), starts, stops))
     else:
         partials = [_run_block(cfg, start, stop) for start, stop in bounds]
 
+    frame = cfg.frame
     truth = cfg.scenario.expand()
     n_scans = len(truth)
-    n_subsets = cfg.frame.full_set
+    mass_total = np.zeros((n_scans, len(cfg.rules), frame.size + 1))
+    correct_total = np.zeros((n_scans, len(cfg.rules)))
+    for mass_sums, correct in partials:  # block order: merge is worker-count invariant
+        mass_total += mass_sums
+        correct_total += correct
+    columns = [frame.singleton(label) - 1 for label in frame.labels] + [frame.full_set - 1]
     traces = []
     for j, rule_cfg in enumerate(cfg.rules):
-        mass_total = np.zeros((n_scans, n_subsets))
-        correct_total = np.zeros(n_scans)
-        for partial in partials:  # block order: merge is worker-count invariant
-            mass_total += partial[j][0]
-            correct_total += partial[j][1]
+        mean_masses = np.zeros((n_scans, frame.full_set))
+        mean_masses[:, columns] = mass_total[:, j] / cfg.runs
         traces.append(
             AveragedTrace(
                 rule=rule_cfg,
-                frame=cfg.frame,
+                frame=frame,
                 truth=truth,
-                mean_masses=mass_total / cfg.runs,
-                correct_rate=correct_total / cfg.runs,
+                mean_masses=mean_masses,
+                correct_rate=correct_total[:, j] / cfg.runs,
             )
         )
     return traces

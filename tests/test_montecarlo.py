@@ -1,13 +1,20 @@
 """Scenario expansion, declaration sampling, and Monte Carlo averaging."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seed_montecarlo
 from evidfuse import (
     AveragedTrace,
     ConfigError,
+    ConfusionMatrix,
+    DecisionCriterion,
     EvidenceError,
     FrameError,
     MonteCarloConfig,
@@ -17,6 +24,7 @@ from evidfuse import (
     SplitMix64,
     TConorm,
     TNorm,
+    VanishingConsensusError,
     default_config,
     default_confusion,
     default_frame,
@@ -24,14 +32,19 @@ from evidfuse import (
     default_scenario,
     derive_run_seed,
     identity_confusion,
+    make_frame,
     readaptation_delays,
     run_monte_carlo,
     run_track,
     sample_decision,
     uniform_diagonal_confusion,
 )
+from evidfuse import montecarlo
+from evidfuse.cli import main
 
 from conftest import FC_FRAME
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(runs=70, master_seed=1234, rules=None):
@@ -206,11 +219,190 @@ def test_trace_accessors():
     assert series.shape == (100,)
 
 
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = small_config(runs=70)  # three blocks
+    inline = run_monte_carlo(cfg, workers=1)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    pooled = run_monte_carlo(cfg, workers=8)
+    assert started == [3]
+    for a, b in zip(inline, pooled):
+        assert a.mean_masses.tobytes() == b.mean_masses.tobytes()
+        assert a.correct_rate.tobytes() == b.correct_rate.tobytes()
+
+
+def test_default_config_output_is_pinned(tmp_path):
+    # sha256 of the CSV written by the per-run scalar loop that preceded the
+    # batch engine (generated with that code, before the engine replaced it)
+    out = tmp_path / "results.csv"
+    argv = ["simulate", str(CONFIG_DIR / "default.json"), "--runs", "64",
+            "--seed", "20061215", "--threads", "1", "-o", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4c853cb7fb592593d397e3ba977d746c520d1579fea808d5bcc3114a309e2866"
+    )
+
+
 @pytest.mark.parametrize("scan", [0, -1, 101])
 def test_trace_mass_rejects_scans_outside_the_track(scan):
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
     with pytest.raises(FrameError, match="outside 1..100"):
         trace.mass(scan, "Fighter")
+
+
+# ---------------------------------------------------------------------------
+# batch engine against the scalar per-run loop (tests/seed_montecarlo.py)
+# ---------------------------------------------------------------------------
+
+ALL_RULES = [RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.PCR5)] + [
+    RuleConfig(Rule.TCN, tnorm, tconorm) for tnorm in TNorm for tconorm in TConorm
+]
+
+
+def outcome(simulate, cfg, **kwargs):
+    """Bytes of every trace, or the type and text of the error raised."""
+    try:
+        traces = simulate(cfg, **kwargs)
+    except EvidenceError as exc:
+        return type(exc), str(exc)
+    return [(t.rule, t.mean_masses.shape, t.mean_masses.tobytes(), t.correct_rate.tobytes())
+            for t in traces]
+
+
+@st.composite
+def simulation_configs(draw):
+    m = draw(st.integers(2, 6))
+    frame = make_frame(["L%d" % i for i in range(m)])
+    rows = []
+    for i in range(m):
+        diagonal = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        weights = draw(st.lists(st.integers(0, 4), min_size=m - 1, max_size=m - 1))
+        if not any(weights):
+            weights = [1] * (m - 1)
+        off = [(1.0 - diagonal) * w / sum(weights) for w in weights]
+        rows.append(tuple(off[:i] + [diagonal] + off[i:]))
+    segments = draw(st.lists(st.tuples(st.sampled_from(frame.labels), st.integers(1, 6)),
+                             min_size=1, max_size=3))
+    rules = draw(st.permutations(ALL_RULES))[: draw(st.integers(1, len(ALL_RULES)))]
+    return MonteCarloConfig(
+        scenario=Scenario(frame, tuple(segments)),
+        confusion=ConfusionMatrix(frame, tuple(rows)),
+        rules=tuple(rules),
+        runs=draw(st.integers(1, 70)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        criterion=draw(st.sampled_from(DecisionCriterion)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=simulation_configs())
+def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
+    assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failure_in_a_later_block_is_reported_like_the_scalar_loop(workers):
+    # declaring Fighter (diagonal 0.5) on the first two scans makes the
+    # bounded t-norm vanish; with this seed that first happens in run 38
+    frame = default_frame()
+    cfg = MonteCarloConfig(
+        scenario=Scenario(frame, (("Cargo", 6),)),
+        confusion=ConfusionMatrix(frame, ((0.5, 0.5), (0.1, 0.9))),
+        rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX),
+               RuleConfig(Rule.DEMPSTER)),
+        runs=70,
+        master_seed=2,
+    )
+    expected = outcome(seed_montecarlo.run_monte_carlo, cfg)
+    assert expected[1].startswith("run 38, rule tcn(bounded, max): scan 2: ")
+    assert outcome(run_monte_carlo, cfg, workers=workers) == expected
+
+
+def vanishing_config():
+    frame = default_frame()
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("Cargo", 3),)),
+        confusion=uniform_diagonal_confusion(frame, 0.5),
+        rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX)),
+        runs=3,
+        master_seed=9,
+    )
+
+
+def test_vanishing_tcn_consensus_names_run_rule_and_scan():
+    cfg = vanishing_config()
+    with pytest.raises(VanishingConsensusError, match=r"^run 0, rule tcn\(bounded, max\): scan 2: "):
+        run_monte_carlo(cfg)
+    assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
+
+
+def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_track", lambda *args: [])
+    with pytest.raises(RuntimeError, match=r"internal error: .* run 0, rule tcn\(bounded, max\)"):
+        run_monte_carlo(vanishing_config())
+
+
+#: First scan at which Dempster's m(full set) is exactly 0 on a track that
+#: declares the true type at every scan with diagonal 0.9: every scan scales
+#: it by 0.1 / (1 - K), and 0.1**324 is below the smallest subnormal.
+DEMPSTER_IGNORANCE_UNDERFLOW_SCAN = 324
+
+
+def first_zero_scan(series):
+    return next(k for k, value in enumerate(series, 1) if value == 0.0)
+
+
+def test_dempster_ignorance_underflows_to_an_absorbing_zero():
+    frame = default_frame()
+    records = run_track(["Fighter"] * 400, default_confusion(), RuleConfig(Rule.DEMPSTER))
+    ignorance = [record.posterior.mass(frame.full_set) for record in records]
+    scan = first_zero_scan(ignorance)
+    assert scan == DEMPSTER_IGNORANCE_UNDERFLOW_SCAN
+    assert all(value > 0.0 for value in ignorance[: scan - 1])
+    assert all(value == 0.0 for value in ignorance[scan - 1:])
+    assert frame.full_set not in records[-1].posterior.masses  # pruned, not stored as 0
+
+
+def test_batch_engine_follows_the_underflow_bit_for_bit():
+    # with random declarations a disagreeing scan barely shrinks m(full set),
+    # so it reaches 0 later than on the agreeing track, but within 400 scans
+    frame = default_frame()
+    cfg = MonteCarloConfig(
+        scenario=Scenario(frame, (("Fighter", 400),)),
+        confusion=default_confusion(),
+        rules=default_rules(),
+        runs=2,
+        master_seed=0,
+    )
+    traces = run_monte_carlo(cfg)
+    for got, want in zip(traces, seed_montecarlo.run_monte_carlo(cfg)):
+        assert got.mean_masses.tobytes() == want.mean_masses.tobytes()
+        assert got.correct_rate.tobytes() == want.correct_rate.tobytes()
+    zeros = []
+    for run_index in range(cfg.runs):
+        rng = SplitMix64(derive_run_seed(cfg.master_seed, run_index))
+        declarations = [sample_decision(t, cfg.confusion, rng) for t in cfg.scenario.expand()]
+        records = run_track(declarations, cfg.confusion, RuleConfig(Rule.DEMPSTER))
+        zeros.append(first_zero_scan([r.posterior.mass(frame.full_set) for r in records]))
+    assert DEMPSTER_IGNORANCE_UNDERFLOW_SCAN < min(zeros) <= max(zeros) <= 400
+    ignorance = traces[0].mean_masses[:, frame.full_set - 1]
+    assert traces[0].rule.rule is Rule.DEMPSTER
+    assert np.all(ignorance[: max(zeros) - 1] > 0.0)
+    assert np.all(ignorance[max(zeros) - 1:] == 0.0)
 
 
 # ---------------------------------------------------------------------------
