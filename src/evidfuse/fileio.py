@@ -14,7 +14,10 @@ Validation errors carry the offending field path.
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
 (non-alphanumerics become underscores); the mapping from sanitized column
-names back to subsets is echoed in a leading "#" comment line.
+names back to subsets is echoed in a leading "#" comment line. Writers format
+only the mass columns with a set bit in the trace (-0.0 prints as -0) and join
+the zeros between them once: the bytes of formatting every cell, at a cost
+that grows with the columns that carry mass, not with the 2^M - 1 subsets.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ import json
 import re
 from typing import Sequence
 
-from .core import DecisionCriterion, Frame, MassFunction, make_bba, make_frame
+import numpy as np
+
+from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
 from .errors import ConfigError, EvidenceError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
 from .rules import Rule, RuleConfig
@@ -258,57 +263,69 @@ def sanitize_column(name: str) -> str:
     return re.sub(r"[^0-9A-Za-z]", "_", name)
 
 
-def _subset_columns(frame: Frame) -> tuple[list[int], list[str], str]:
-    """Nonempty subsets in canonical order, their column names, and the mapping comment."""
-    subsets = list(frame.nonempty_subsets())
-    names = ["m_" + sanitize_column(frame.format_subset(bits)) for bits in subsets]
-    mapping = ", ".join(
-        "%s = %s" % (name, frame.format_subset(bits)) for name, bits in zip(names, subsets)
-    )
-    return subsets, names, "# columns: %s" % mapping
+def _subset_columns(frame: Frame) -> tuple[list[str], str]:
+    """Column names of the nonempty subsets in canonical order, and the mapping
+    comment; each subset is spelled from the subset without its top label."""
+    spellings, names = [""], ["m"]
+    for label in frame.labels:
+        column = "_" + sanitize_column(label)
+        spellings += [s + SUBSET_SEPARATOR + label if s else label for s in spellings]
+        names += [name + column for name in names]
+    mapping = ", ".join("%s = %s" % pair for pair in zip(names[1:], spellings[1:]))
+    return names[1:], "# columns: %s" % mapping
 
 
 def format_mass(value: float) -> str:
     return format(value, _MASS_DIGITS)
 
 
+def _csv_cells(cells: Sequence[str]) -> str:
+    """Cells quoted and joined by the stdlib csv writer, without the line end."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()[:-1]
+
+
+def _mass_lines(heads: Sequence[str], rows: list[list[float]], live: list[int], width: int) -> list[str]:
+    """CSV lines: an encoded head, then ``width`` number cells, of which only the
+    ``live`` columns (their values in ``rows``) are formatted; the rest are
+    ``format_mass(0.0)``, joined once into the row template."""
+    template = ["{}"] + [format_mass(0.0)] * width
+    for i in live:
+        template[i + 1] = "{}"
+    template = ",".join(template)
+    return [template.format(head, *map(format_mass, row)) for head, row in zip(heads, rows)]
+
+
 def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
     """Trace CSV: scan, declared, decision, then one mass column per subset."""
-    subsets, names, comment = _subset_columns(frame)
-    out = io.StringIO()
-    out.write(comment + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["scan", "declared", "decision"] + names)
-    for record in records:
-        row = [str(record.scan), record.declared, record.decision]
-        row += [format_mass(record.posterior.masses.get(bits, 0.0)) for bits in subsets]
-        writer.writerow(row)
-    return out.getvalue()
+    names, comment = _subset_columns(frame)
+    live = sorted({bits - 1 for record in records for bits in record.posterior.masses})
+    rows = [[record.posterior.masses.get(i + 1, 0.0) for i in live] for record in records]
+    heads = [_csv_cells([str(r.scan), r.declared, r.decision]) for r in records]
+    lines = [comment, _csv_cells(["scan", "declared", "decision"] + names)]
+    lines += _mass_lines(heads, rows, live, frame.full_set)
+    return "\n".join(lines) + "\n"
 
 
 def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str:
     """Averaged-trace CSV, one row per (rule, scan), in rule order then scan."""
-    frame = cfg.frame
-    _, names, comment = _subset_columns(frame)
-    truth = cfg.scenario.expand()
-    out = io.StringIO()
-    out.write(comment + "\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])
+    names, comment = _subset_columns(cfg.frame)
+    true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
+    truth = [true_types[label] for label in cfg.scenario.expand()]
+    lines = [comment, _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])]
     for trace in traces:
         rule = trace.rule
         tnorm = rule.tnorm.value if rule.tnorm is not None else ""
         tconorm = rule.tconorm.value if rule.tconorm is not None else ""
-        # mean_masses columns are already in subset order (column bits - 1),
-        # and Python floats format exactly like numpy's
-        masses = trace.mean_masses.tolist()
-        rates = trace.correct_rate.tolist()
-        for k, true_type in enumerate(truth):
-            row = [rule.rule.value, tnorm, tconorm, str(k + 1), true_type]
-            row += map(format_mass, masses[k])
-            row.append(format_mass(rates[k]))
-            writer.writerow(row)
-    return out.getvalue()
+        labels = _csv_cells([rule.rule.value, tnorm, tconorm])
+        # columns follow subset order (column bits - 1); a column is live when
+        # a bit of it is set, so -0.0 still prints as -0
+        numbers = np.column_stack((trace.mean_masses, trace.correct_rate))
+        live = np.flatnonzero(numbers.view(np.uint64).any(axis=0)).tolist()
+        heads = ["%s,%d,%s" % (labels, k, t) for k, t in enumerate(truth, 1)]
+        lines += _mass_lines(heads, numbers[:, live].tolist(), live, numbers.shape[1])
+    return "\n".join(lines) + "\n"
 
 
 def rule_file_tag(cfg: RuleConfig) -> str:
@@ -321,9 +338,8 @@ def rule_file_tag(cfg: RuleConfig) -> str:
 def trace_plot_data(trace: AveragedTrace) -> str:
     """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
     frame = trace.frame
-    header = "# scan " + " ".join("m_" + sanitize_column(label) for label in frame.labels)
-    lines = [header]
-    for k in range(trace.mean_masses.shape[0]):
-        values = [format_mass(trace.mean_masses[k, frame.singleton(label) - 1]) for label in frame.labels]
-        lines.append("%d %s" % (k + 1, " ".join(values)))
+    columns = [frame.singleton(label) - 1 for label in frame.labels]
+    lines = ["# scan " + " ".join("m_" + sanitize_column(label) for label in frame.labels)]
+    for k, row in enumerate(trace.mean_masses[:, columns].tolist(), 1):
+        lines.append("%d %s" % (k, " ".join(map(format_mass, row))))
     return "\n".join(lines) + "\n"

@@ -10,7 +10,9 @@ Reproducibility contract: run ``i`` owns a private splitmix64 stream seeded
 by :func:`~evidfuse.rng.derive_run_seed`, runs are accumulated in blocks of
 :data:`CHUNK_RUNS` consecutive runs, and block partial sums are merged in
 block order. The result is bit-identical no matter how many worker processes
-computed the blocks.
+computed the blocks. A block draws all its declarations at once from the
+closed form of the streams (:func:`~evidfuse.rng.run_floats`), with the
+inverse CDF of :func:`sample_decision`, the scalar reference.
 
 Batch engine. A block tracks all of its (rule, run) pairs at once. Lane
 ``j * R + r`` holds rule ``j`` on the block's ``r``-th run, and one
@@ -54,14 +56,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import fsum
 
 import numpy as np
 
 from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
-from .rng import SplitMix64, derive_run_seed
+from .rng import SplitMix64, run_floats
 from .rules import TOTAL_CONFLICT_MARGIN, Rule, RuleConfig
 from .tracker import ConfusionMatrix, run_track
 from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
@@ -208,6 +210,17 @@ def _per_lane(table: dict, kinds: tuple, n_runs: int, ndim: int):
     return apply
 
 
+def _declarations(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
+    """Label index ``[r, k]`` that :func:`sample_decision` declares at scan
+    ``k + 1`` of run ``start + r``: the first label whose running row sum (the
+    same sequential adds) exceeds the draw, which is the number of sums at or
+    below it as they never decrease, or the last label when every sum is."""
+    truth = [cfg.frame.index(t) for t in cfg.scenario.expand()]
+    cumulative = np.array([list(accumulate(row)) for row in cfg.confusion.rows])[truth]
+    u = run_floats(cfg.master_seed, start, stop, len(truth))
+    return np.minimum((cumulative <= u[..., None]).sum(axis=2), cfg.frame.size - 1)
+
+
 def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Mass sums ``(scans, rules, M + 1)`` and correct-decision counts
     ``(scans, rules)`` of runs [start, stop), each added in run order."""
@@ -218,11 +231,8 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray
     lanes = n_rules * n_runs
     index = {label: i for i, label in enumerate(frame.labels)}
 
-    runs = []
-    for run_index in range(start, stop):
-        rng = SplitMix64(derive_run_seed(cfg.master_seed, run_index))
-        runs.append([sample_decision(t, cfg.confusion, rng) for t in truth])
-    declared = np.tile(np.array([[index[d] for d in run] for run in runs]).T, n_rules)
+    runs = _declarations(cfg, start, stop)
+    declared = np.tile(runs.T, n_rules)
     c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[declared]
     obs = np.stack((c, 1.0 - c), axis=2)[..., None]  # (scans, lanes, 2, 1): mass on s, on the full set
 
@@ -269,7 +279,7 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray
         correct[k] = scores.argmax(axis=1) == truth_index[k]
 
     if failed.any():
-        _replay_first_failure(cfg, runs, start, failed)
+        _replay_first_failure(cfg, [[frame.labels[i] for i in run] for run in runs.tolist()], start, failed)
     by_run = masses.reshape(n_scans, n_rules, n_runs, m + 1)
     mass_sums = np.zeros((n_scans, n_rules, m + 1))
     for r in range(n_runs):  # run order, as the scalar accumulation

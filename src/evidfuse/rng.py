@@ -10,6 +10,8 @@ a dozen integer operations -- and statistically solid for this workload.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 #: Odd increment of the splitmix64 state ("golden gamma").
@@ -20,7 +22,8 @@ _MIX_MULT_2 = 0x94D049BB133111EB
 
 
 def mix64(value: int) -> int:
-    """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value."""
+    """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value;
+    elementwise on an ``np.uint64`` array, whose multiplies wrap."""
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _MASK64
@@ -31,9 +34,19 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Per-run seed: avalanche of master_seed offset by run_index gammas.
 
     Deterministic, and distinct run indices give distinct seeds in practice
-    (the mix is a bijection of the 64-bit offsets).
+    (the mix is a bijection of the 64-bit offsets). Also elementwise over an
+    ``np.uint64`` array of run indices when ``master_seed`` is in 0..2**64 - 1.
     """
     return mix64((master_seed + run_index * GOLDEN_GAMMA) & _MASK64)
+
+
+def run_floats(master_seed: int, start: int, stop: int, draws: int) -> np.ndarray:
+    """``[r, k]`` is draw ``k + 1`` of ``SplitMix64(derive_run_seed(master_seed,
+    start + r)).next_float()``: draw k of a stream seeded s is
+    ``mix64(s + k * GOLDEN_GAMMA)``, so every draw is one array mix."""
+    seeds = derive_run_seed(master_seed & _MASK64, np.arange(start, stop, dtype=np.uint64))
+    steps = np.arange(1, draws + 1, dtype=np.uint64) * GOLDEN_GAMMA
+    return (mix64(seeds[:, None] + steps) >> 11) * 2.0**-53
 
 
 class SplitMix64:

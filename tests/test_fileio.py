@@ -4,9 +4,15 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import seed_fileio
 
 from evidfuse import (
+    AveragedTrace,
     ConfigError,
     DecisionCriterion,
     MonteCarloConfig,
@@ -17,10 +23,12 @@ from evidfuse import (
     TNorm,
     default_config,
     make_bba,
+    make_frame,
     run_monte_carlo,
     run_track,
     uniform_diagonal_confusion,
 )
+from evidfuse.core import MassFunction
 from evidfuse.fileio import (
     format_mass,
     load_confusion,
@@ -35,6 +43,8 @@ from evidfuse.fileio import (
     traces_to_csv,
     track_records_to_csv,
 )
+
+from evidfuse.tracker import TrackRecord
 
 from conftest import FC_FRAME
 
@@ -313,3 +323,139 @@ def test_plot_data_is_parseable_as_floats():
         assert len(parts) == 3
         values = [float(p) for p in parts[1:]]
         assert all(math.isfinite(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# sparse row encoder against the writers that formatted every cell
+# (tests/seed_fileio.py)
+# ---------------------------------------------------------------------------
+
+#: Labels the csv writer must quote, plus spaces and non-ASCII text.
+AWKWARD_LABELS = ["a,b", 'say "hi"', " lead", "two words", "Überflug", "戦闘機", "x\r", "F-16 A/B"]
+
+#: Mass values that stress the formatter: signed zeros, subnormals, ties.
+AWKWARD_MASSES = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.1, 0.5, 1.0, 1e-05, 123456789.123]
+
+ALL_RULE_CONFIGS = [RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.PCR5)] + [
+    RuleConfig(Rule.TCN, tnorm, tconorm) for tnorm in TNorm for tconorm in TConorm
+]
+
+
+def awkward_frame(draw, m):
+    labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS) | st.text(min_size=1, max_size=4),
+                           min_size=m, max_size=m, unique=True)
+                  .filter(lambda ls: all("|" not in label for label in ls)))
+    return make_frame(labels)
+
+
+def sparse_masses(draw, rows, width):
+    """A (rows, width) array that is zero outside a few drawn columns; a drawn
+    column may still hold only +0.0 (as Dempster's underflowed ignorance)."""
+    masses = np.zeros((rows, width))
+    for column in draw(st.lists(st.integers(0, width - 1), max_size=6, unique=True)):
+        masses[:, column] = draw(st.lists(st.sampled_from(AWKWARD_MASSES) | st.floats(0.0, 1.0),
+                                          min_size=rows, max_size=rows))
+    return masses
+
+
+@st.composite
+def simulation_outputs(draw, m):
+    frame = awkward_frame(draw, m)
+    segments = draw(st.lists(st.tuples(st.sampled_from(frame.labels), st.integers(1, 3)),
+                             min_size=1, max_size=3))
+    cfg = MonteCarloConfig(
+        scenario=Scenario(frame, tuple(segments)),
+        confusion=uniform_diagonal_confusion(frame, 0.9),
+        rules=tuple(draw(st.lists(st.sampled_from(ALL_RULE_CONFIGS), min_size=1, max_size=4))),
+        runs=1,
+        master_seed=0,
+    )
+    truth = cfg.scenario.expand()
+    traces = [
+        AveragedTrace(rule=rule, frame=frame, truth=truth,
+                      mean_masses=sparse_masses(draw, len(truth), frame.full_set),
+                      correct_rate=sparse_masses(draw, len(truth), 1)[:, 0])
+        for rule in cfg.rules
+    ]
+    return cfg, traces
+
+
+@st.composite
+def track_outputs(draw, m):
+    frame = awkward_frame(draw, m)
+    masses = sparse_masses(draw, draw(st.integers(1, 4)), frame.full_set)
+    # a focal set may carry an explicit +0.0 or -0.0 in the posterior dict
+    shown = draw(st.sets(st.integers(1, frame.full_set), max_size=3))
+    records = [
+        TrackRecord(scan=k + 1, declared=draw(st.sampled_from(frame.labels)),
+                    posterior=MassFunction(frame, {bits + 1: value for bits, value in enumerate(row)
+                                                   if value or bits + 1 in shown}),
+                    decision=draw(st.sampled_from(frame.labels)))
+        for k, row in enumerate(masses.tolist())
+    ]
+    return frame, records
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(2, 8))
+def test_simulation_csv_matches_the_dense_writer_byte_for_byte(data, m):
+    cfg, traces = data.draw(simulation_outputs(m))
+    assert traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(2, 8))
+def test_track_csv_matches_the_dense_writer_byte_for_byte(data, m):
+    frame, records = data.draw(track_outputs(m))
+    assert track_records_to_csv(records, frame) == seed_fileio.track_records_to_csv(records, frame)
+
+
+def test_csv_writers_match_on_a_4095_column_frame():
+    frame = make_frame(AWKWARD_LABELS + ["L%d" % i for i in range(4)])
+    cfg = MonteCarloConfig(
+        scenario=Scenario(frame, (("a,b", 2), ("Überflug", 1))),
+        confusion=uniform_diagonal_confusion(frame, 0.9),
+        rules=(RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX)),
+        runs=1,
+        master_seed=0,
+    )
+    truth = cfg.scenario.expand()
+    masses = np.zeros((3, frame.full_set))
+    masses[:, [0, 7, frame.full_set - 1]] = [[0.5, -0.0, 0.5], [1.0 / 3.0, 0.0, 2.0 / 3.0], [5e-324, 1.0, 0.0]]
+    traces = [AveragedTrace(cfg.rules[0], frame, truth, masses, np.array([1.0, 0.5, -0.0])),
+              AveragedTrace(cfg.rules[1], frame, truth, np.zeros_like(masses), np.zeros(3))]
+    text = traces_to_csv(cfg, traces)
+    assert len(text.split("\n")[1].split(",")) == 5 + 4095 + 1
+    assert text == seed_fileio.traces_to_csv(cfg, traces)
+    records = [TrackRecord(1, "a,b", MassFunction(frame, {1: 0.25, frame.full_set: 0.75}), "戦闘機")]
+    assert track_records_to_csv(records, frame) == seed_fileio.track_records_to_csv(records, frame)
+
+
+def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():
+    cfg = MonteCarloConfig(
+        scenario=Scenario(FC_FRAME, (("Cargo", 2),)),
+        confusion=uniform_diagonal_confusion(FC_FRAME, 0.9),
+        rules=(RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.PCR5)),
+        runs=1,
+        master_seed=0,
+    )
+    truth = cfg.scenario.expand()
+    traces = [
+        AveragedTrace(cfg.rules[0], FC_FRAME, truth, np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]]), np.zeros(2)),
+        AveragedTrace(cfg.rules[1], FC_FRAME, truth, np.zeros((2, 3)), np.zeros(2)),
+    ]
+    text = traces_to_csv(cfg, traces)
+    assert text.splitlines()[2:] == [
+        "dempster,,,1,Cargo,0,-0,1,0",
+        "dempster,,,2,Cargo,0,0,1,0",
+        "pcr5,,,1,Cargo,0,0,0,0",
+        "pcr5,,,2,Cargo,0,0,0,0",
+    ]
+    assert text == seed_fileio.traces_to_csv(cfg, traces)
+
+
+def test_plot_data_reads_the_singleton_columns():
+    frame = make_frame(["A", "B", "C"])
+    masses = np.arange(1.0, 15.0).reshape(2, 7) / 16.0
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), frame, ("A", "B"), masses, np.zeros(2))
+    assert trace_plot_data(trace) == "# scan m_A m_B m_C\n1 0.0625 0.125 0.25\n2 0.5 0.5625 0.6875\n"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seed_fileio
 import seed_montecarlo
 from evidfuse import (
     AveragedTrace,
@@ -135,6 +136,98 @@ def test_sample_decision_consumes_one_draw():
     sample_decision("Fighter", confusion, a)
     b.next_float()
     assert a.next_uint64() == b.next_uint64()
+
+
+#: Master seeds at the edges of the 64-bit ring, negative and past it.
+EDGE_SEEDS = [0, -1, 2**64 - 1, 2**64 + 5]
+
+
+def scalar_declarations(cfg, start, stop):
+    """Label indices that sample_decision draws run by run, draw by draw."""
+    truth = cfg.scenario.expand()
+    runs = []
+    for run_index in range(start, stop):
+        rng = SplitMix64(derive_run_seed(cfg.master_seed, run_index))
+        runs.append([cfg.frame.index(sample_decision(t, cfg.confusion, rng)) for t in truth])
+    return runs
+
+
+@st.composite
+def sampling_configs(draw):
+    m = draw(st.integers(2, 5))
+    frame = make_frame(["L%d" % i for i in range(m)])
+    if draw(st.booleans()):
+        confusion = identity_confusion(frame)
+    else:  # rows with zero entries, and rows that spread evenly
+        rows = []
+        for _ in range(m):
+            weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+            rows.append(tuple(w / sum(weights) for w in weights))
+        confusion = ConfusionMatrix(frame, tuple(rows))
+    segments = draw(st.lists(st.tuples(st.sampled_from(frame.labels), st.integers(1, 8)),
+                             min_size=1, max_size=3))
+    return MonteCarloConfig(
+        scenario=Scenario(frame, tuple(segments)),
+        confusion=confusion,
+        rules=(RuleConfig(Rule.PCR5),),
+        runs=1,
+        master_seed=draw(st.sampled_from(EDGE_SEEDS) | st.integers(-(2**70), 2**70)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=sampling_configs(), start=st.integers(0, 64) | st.integers(2**64 - 64, 2**64 - 33),
+       runs=st.integers(1, 32))
+def test_block_declarations_match_sample_decision(cfg, start, runs):
+    drawn = montecarlo._declarations(cfg, start, start + runs)
+    assert drawn.tolist() == scalar_declarations(cfg, start, start + runs)
+
+
+class FixedDraws:
+    """A stand-in stream that hands out given uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def next_float(self):
+        return next(self._values)
+
+
+def test_block_declarations_fall_through_to_the_last_label(monkeypatch):
+    # ten 0.1 entries add up, one by one, to 1 - 2**-53: the largest draw is
+    # at no running sum's left, so it falls through to the last label; ties
+    # with a running sum go to the next label, zero entries are never drawn
+    frame = make_frame(["L%d" % i for i in range(10)])
+    rows = [(0.1,) * 10, (0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] + [
+        tuple(float(i == j) for j in range(10)) for i in range(2, 10)]
+    cfg = MonteCarloConfig(
+        scenario=Scenario(frame, (("L0", 1), ("L1", 1))),
+        confusion=ConfusionMatrix(frame, tuple(rows)),
+        rules=(RuleConfig(Rule.PCR5),),
+        runs=1,
+        master_seed=0,
+    )
+    assert sum([0.1] * 10) == 1.0 - 2**-53
+    sums = [sum([0.1] * k) for k in range(1, 11)]
+    draws = [0.0, 0.5, 1.0 - 2**-53, 2**-53] + sums
+    u = np.array([[d, d] for d in draws])
+    monkeypatch.setattr(montecarlo, "run_floats", lambda *args: u)
+    drawn = montecarlo._declarations(cfg, 0, len(draws))
+    expected = [[frame.index(sample_decision(t, cfg.confusion, FixedDraws(row))) for t in ("L0", "L1")]
+                for row in u.tolist()]
+    assert drawn.tolist() == expected
+    assert expected[2] == [9, 3] and expected[1] == [5, 3]
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_simulate_seed_override_matches_the_scalar_loop(tmp_path, seed):
+    out = tmp_path / "results.csv"
+    argv = ["simulate", str(CONFIG_DIR / "default.json"), "--runs", "40",
+            "--seed", str(seed), "--threads", "1", "-o", str(out)]
+    assert main(argv) == 0
+    cfg = default_config(runs=40, master_seed=seed)
+    expected = seed_fileio.traces_to_csv(cfg, seed_montecarlo.run_monte_carlo(cfg))
+    assert out.read_text(encoding="utf-8") == expected
 
 
 # ---------------------------------------------------------------------------

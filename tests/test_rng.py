@@ -1,6 +1,10 @@
 """Deterministic 64-bit generator and per-run seed derivation."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from evidfuse import SplitMix64, derive_run_seed, mix64
+from evidfuse.rng import run_floats
 
 # Known-answer vectors, frozen from an independent implementation of the
 # published splitmix64 recurrence.
@@ -62,3 +66,23 @@ def test_derive_run_seed_distinct_per_master():
 def test_negative_master_seed_is_masked():
     # negative Python ints map onto the 64-bit ring instead of failing
     assert derive_run_seed(-1, 0) == derive_run_seed((1 << 64) - 1, 0)
+
+
+#: Master seeds at the edges of the 64-bit ring, negative and past it.
+EDGE_SEEDS = [0, -1, 2**64 - 1, 2**64 + 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    master_seed=st.sampled_from(EDGE_SEEDS) | st.integers(-(2**80), 2**80),
+    start=st.integers(0, 100) | st.integers(2**64 - 100, 2**64 - 41),
+    runs=st.integers(1, 40),
+    draws=st.integers(1, 20),
+)
+def test_run_floats_match_the_sequential_streams(master_seed, start, runs, draws):
+    # start near 2**64 makes the run index itself wrap in the seed derivation
+    expected = []
+    for run_index in range(start, start + runs):
+        rng = SplitMix64(derive_run_seed(master_seed, run_index))
+        expected.append([rng.next_float() for _ in range(draws)])
+    assert run_floats(master_seed, start, start + runs, draws).tolist() == expected
