@@ -53,8 +53,6 @@ from .operators import (
     TNorm,
     parse_tconorm,
     parse_tnorm,
-    tconorm_eval,
-    tnorm_eval,
 )
 from .rng import SplitMix64, derive_run_seed, mix64
 from .rules import (
@@ -69,10 +67,8 @@ from .tracker import (
     ConfusionMatrix,
     TrackRecord,
     identity_confusion,
-    initial_state,
     observation_bba,
     run_track,
-    tracker_step,
     uniform_diagonal_confusion,
 )
 
@@ -115,7 +111,6 @@ __all__ = [
     "derive_run_seed",
     "disjunctive_consensus",
     "identity_confusion",
-    "initial_state",
     "make_bba",
     "make_frame",
     "mix64",
@@ -129,10 +124,7 @@ __all__ = [
     "run_track",
     "sample_decision",
     "tcn_combine",
-    "tconorm_eval",
-    "tnorm_eval",
     "total_conflict",
-    "tracker_step",
     "uniform_diagonal_confusion",
     "vacuous_bba",
 ]

@@ -64,6 +64,11 @@ def _join(path: str, key: str) -> str:
 def frame_from_json(data: object, path: str = "frame") -> Frame:
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise ConfigError("%s: expected a list of label strings" % path)
+    for i, label in enumerate(data):
+        # a line break would split the CSV "# columns:" line and cannot be
+        # written in a declarations file, which holds one label per line
+        if "\n" in label or "\r" in label:
+            raise ConfigError("%s[%d]: label %r may not contain a line break" % (path, i, label))
     try:
         return make_frame(data)
     except EvidenceError as exc:

@@ -24,8 +24,9 @@ singleton or the full set meets either of them in a singleton, the full set
 or the empty set, and PCR5 and TCN send a conflict back only to the pair's
 own focal sets. So a scan is one closed-form update, a fixed sequence of
 numpy operations over all lanes. Lanes differ only in their rule's
-t-norm/t-conorm (product/sum for Dempster and PCR5), in whether conflict is
-redistributed, and in the normalization floor. Blocks return compact
+description, :attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the
+t-conorm (None: conflict is not redistributed) and the normalization floor,
+the same triple :func:`~evidfuse.rules.combine` runs on. Blocks return compact
 ``(scans, rules, M + 1)`` sums, which are scattered into the dense per-subset
 means once, after the merge.
 
@@ -64,7 +65,7 @@ import numpy as np
 from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .rng import SplitMix64, run_floats
-from .rules import TOTAL_CONFLICT_MARGIN, Rule, RuleConfig
+from .rules import Rule, RuleConfig
 from .tracker import ConfusionMatrix, run_track
 from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 
@@ -181,16 +182,6 @@ def sample_decision(true_type: str, confusion: ConfusionMatrix, rng: SplitMix64)
     return confusion.frame.labels[len(row) - 1]  # guards fp residue in the row sum
 
 
-def _lane_rule(cfg: RuleConfig) -> tuple[TNorm, TConorm, bool, float | None]:
-    """(t-norm, t-conorm, redistributes conflict, normalization floor) of a
-    rule; a floor of None means the rule is not normalized."""
-    if cfg.rule is Rule.DEMPSTER:
-        return TNorm.PRODUCT, TConorm.SUM, False, TOTAL_CONFLICT_MARGIN
-    if cfg.rule is Rule.PCR5:
-        return TNorm.PRODUCT, TConorm.SUM, True, None
-    return cfg.tnorm, cfg.tconorm, True, 0.0
-
-
 def _per_lane(table: dict, kinds: tuple, n_runs: int, ndim: int):
     """Elementwise operator that applies ``table[kinds[j]]`` on the lanes of
     rule j; operands have ``ndim`` dimensions, lanes first."""
@@ -236,10 +227,12 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray
     c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[declared]
     obs = np.stack((c, 1.0 - c), axis=2)[..., None]  # (scans, lanes, 2, 1): mass on s, on the full set
 
-    tnorms, tconorms, redistributes, floors = zip(*map(_lane_rule, cfg.rules))
+    tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
     tnorm = _per_lane(TNORM_ARRAYS, tnorms, n_runs, 3)
-    tconorm = _per_lane(TCONORM_ARRAYS, tconorms, n_runs, 2)
-    conflicting = (declared[..., None] != np.arange(m)) & np.repeat(redistributes, n_runs)[:, None]
+    # a lane that keeps its conflict (no t-conorm) never reads the t-conorm
+    tconorm = _per_lane(TCONORM_ARRAYS, [TConorm.SUM if kind is None else kind for kind in tconorms], n_runs, 2)
+    redistributes = np.repeat([kind is not None for kind in tconorms], n_runs)
+    conflicting = (declared[..., None] != np.arange(m)) & redistributes[:, None]
     normalized = np.flatnonzero(np.repeat([floor is not None for floor in floors], n_runs))
     floors = np.repeat([floor for floor in floors if floor is not None], n_runs)
 

@@ -45,7 +45,7 @@ def _max(x: float, y: float) -> float:
     return x if x > y else y
 
 
-# Dispatch tables; rule internals use these directly to skip re-validation.
+# Scalar operators by kind, as the focal-pair kernel calls them.
 TNORM_FUNCS = {
     TNorm.MIN: _min,
     TNorm.PRODUCT: mul,
@@ -75,31 +75,6 @@ TCONORM_ARRAYS = {
     TConorm.MAX: np.maximum,
     TConorm.SUM: np.add,
 }
-
-
-def _check_unit(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("%s=%r is outside [0, 1]" % (name, value))
-    return value
-
-
-def tnorm_eval(kind: TNorm, x: float, y: float) -> float:
-    """Evaluate a t-norm at (x, y), both in [0, 1].
-
-    MIN gives min(x, y), PRODUCT gives x*y, and BOUNDED gives
-    max(0, x + y - 1); every result lies in [0, min(x, y)].
-    """
-    return TNORM_FUNCS[kind](_check_unit("x", x), _check_unit("y", y))
-
-
-def tconorm_eval(kind: TConorm, x: float, y: float) -> float:
-    """Evaluate a t-conorm at (x, y), both in [0, 1].
-
-    MAX stays in [0, 1]; SUM is the unclamped x + y in [0, 2] (see module
-    docstring). Either dominates every shipped t-norm at the same point.
-    """
-    return TCONORM_FUNCS[kind](_check_unit("x", x), _check_unit("y", y))
 
 
 def parse_tnorm(name: str) -> TNorm:

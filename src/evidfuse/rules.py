@@ -5,31 +5,34 @@ a valid :class:`~evidfuse.core.MassFunction`. None of them mutates its
 inputs, and all are commutative: per-subset accumulation uses accurately
 rounded sums, so swapping the arguments yields bit-identical output.
 
-Every rule is one pass of the focal-pair kernel :func:`~evidfuse.core._fuse_pairs`
-followed by an optional normalize step. The rules differ in three choices:
+A rule is one description, :attr:`RuleConfig.fusion`: the arguments of the
+focal-pair kernel :func:`~evidfuse.core._fuse_pairs` plus a normalization
+floor. Dempster is ``(product, None, TOTAL_CONFLICT_MARGIN)``, PCR5 is
+``(product, sum, None)`` and TCN is ``(tnorm, tconorm, 0.0)`` with its
+configured operator pair.
 
-* the conjunction op, applied to the masses of every focal pair (A, B):
-  the product for Dempster and PCR5, the configured t-norm for TCN;
-* the conflict step for a disjoint pair: Dempster leaves the partial
-  conflict on the empty set and then drops it; PCR5 returns m1(A)*m2(B) to
-  A and B in proportion to the masses that created it; TCN returns the
-  t-norm to A and B scaled by a t-norm/t-conorm ratio;
-* the normalize step: Dempster rescales the surviving mass by its total
-  and fails loudly when nothing survives, TCN divides by its total, PCR5
-  conserves mass by construction and is not normalized.
+* The t-norm conjoins the masses of every focal pair (A, B).
+* The t-conorm settles a partial conflict (A and B disjoint): None leaves
+  it on the empty set, from where it is dropped; otherwise A and B get it
+  back in proportion to their masses, scaled by the t-norm/t-conorm ratio.
+* A floor of None leaves the result as it is: PCR5 conserves mass by
+  construction, and the output audit turns any drift into an error. Any
+  other floor divides the result by its accurate total and reports a
+  degenerate fusion when that total is at or below the floor.
 
-With the product t-norm and the sum t-conorm, TCN runs the same kernel as
-PCR5 and differs from it only by the final normalization.
+:func:`combine` is the only implementation, and the batch engine of
+:mod:`~evidfuse.montecarlo` reads the same description. With the product
+t-norm and the sum t-conorm, TCN differs from PCR5 only by its floor.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
-from operator import add, mul
 
-from .core import Frame, MassFunction, _combined, _fuse_pairs
+from .core import MassFunction, _combined, _fuse_pairs
 from .errors import ConfigError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
@@ -70,14 +73,46 @@ class RuleConfig:
             return "tcn(%s, %s)" % (self.tnorm.value, self.tconorm.value)
         return self.rule.value
 
+    @cached_property
+    def fusion(self) -> tuple[TNorm, TConorm | None, float | None]:
+        """``(tnorm, tconorm, floor)``, the rule's description (see the module
+        docstring): tconorm None keeps a partial conflict on the empty set,
+        floor None means the result is not normalized."""
+        if self.rule is Rule.DEMPSTER:
+            return TNorm.PRODUCT, None, TOTAL_CONFLICT_MARGIN
+        if self.rule is Rule.PCR5:
+            return TNorm.PRODUCT, TConorm.SUM, None
+        if self.rule is Rule.TCN:
+            return self.tnorm, self.tconorm, 0.0
+        raise ValueError("unknown rule %r" % (self.rule,))
 
-def _normalized(frame: Frame, masses: dict[int, float], floor: float, where: str) -> MassFunction | None:
-    """Divide `masses` by their accurate total, or None when the total is at
-    or below `floor` and the caller must report a degenerate fusion."""
+
+def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Fuse two assignments under the configured rule.
+
+    Runs the focal-pair kernel with the rule's operators, drops the conflict
+    left on the empty set, then either audits the result as it is (no floor)
+    or divides it by its accurate total. Raises :class:`TotalConflictError`
+    (Dempster) or :class:`VanishingConsensusError` (TCN) instead of dividing
+    by a total at or below the rule's floor.
+    """
+    tnorm, tconorm, floor = cfg.fusion
+    masses = _fuse_pairs(m1, m2, TNORM_FUNCS[tnorm], None if tconorm is None else TCONORM_FUNCS[tconorm])
+    conflict = masses.pop(0, 0.0)
+    where = "%s_combine" % cfg.rule.value
+    if floor is None:
+        return _combined(m1.frame, masses, where=where)
     total = fsum(masses.values())
     if total <= floor:
-        return None
-    return _combined(frame, {bits: value / total for bits, value in masses.items()}, where=where)
+        if cfg.rule is Rule.DEMPSTER:
+            raise TotalConflictError(
+                "total conflict between sources (K=%.17g); Dempster's rule is undefined" % conflict
+            )
+        raise VanishingConsensusError(
+            "TCN consensus vanished for tnorm=%s, tconorm=%s (nothing to normalize)"
+            % (tnorm.value, tconorm.value)
+        )
+    return _combined(m1.frame, {bits: value / total for bits, value in masses.items()}, where=where)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -91,14 +126,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     Raises :class:`TotalConflictError` instead of dividing by (almost) zero
     when the sources are totally conflicting.
     """
-    masses = _fuse_pairs(m1, m2, mul)
-    conflict = masses.pop(0, 0.0)
-    fused = _normalized(m1.frame, masses, TOTAL_CONFLICT_MARGIN, "dempster_combine")
-    if fused is None:
-        raise TotalConflictError(
-            "total conflict between sources (K=%.17g); Dempster's rule is undefined" % conflict
-        )
-    return fused
+    return combine(RuleConfig(Rule.DEMPSTER), m1, m2)
 
 
 def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -116,7 +144,7 @@ def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     constructor's sum audit turns any implementation error into a failure
     rather than hiding it.
     """
-    return _combined(m1.frame, _fuse_pairs(m1, m2, mul, add), where="pcr5_combine")
+    return combine(RuleConfig(Rule.PCR5), m1, m2)
 
 
 def tcn_combine(
@@ -145,22 +173,4 @@ def tcn_combine(
     With the algebraic-product t-norm and the unclamped-sum t-conorm the
     steps above reproduce PCR5 exactly.
     """
-    masses = _fuse_pairs(m1, m2, TNORM_FUNCS[tnorm], TCONORM_FUNCS[tconorm])
-    fused = _normalized(m1.frame, masses, 0.0, "tcn_combine")
-    if fused is None:
-        raise VanishingConsensusError(
-            "TCN consensus vanished for tnorm=%s, tconorm=%s (nothing to normalize)"
-            % (tnorm.value, tconorm.value)
-        )
-    return fused
-
-
-def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dispatch to the configured combination rule."""
-    if cfg.rule is Rule.DEMPSTER:
-        return dempster_combine(m1, m2)
-    if cfg.rule is Rule.PCR5:
-        return pcr5_combine(m1, m2)
-    if cfg.rule is Rule.TCN:
-        return tcn_combine(m1, m2, cfg.tnorm, cfg.tconorm)
-    raise ValueError("unknown rule %r" % (cfg.rule,))
+    return combine(RuleConfig(Rule.TCN, tnorm, tconorm), m1, m2)

@@ -96,15 +96,6 @@ def observation_bba(decision: str, confusion: ConfusionMatrix) -> MassFunction:
 
 
 @dataclass(frozen=True)
-class TrackerState:
-    """Running estimate: current belief plus the number of scans consumed."""
-
-    frame: Frame
-    belief: MassFunction
-    scan: int = 0
-
-
-@dataclass(frozen=True)
 class TrackRecord:
     """Outcome of one scan: what was declared, believed, and decided."""
 
@@ -114,46 +105,27 @@ class TrackRecord:
     decision: str
 
 
-def initial_state(frame: Frame) -> TrackerState:
-    """Scan-zero state: vacuous prior, nothing consumed yet."""
-    return TrackerState(frame, vacuous_bba(frame), 0)
-
-
-def tracker_step(
-    state: TrackerState,
-    declared: str,
-    confusion: ConfusionMatrix,
-    cfg: RuleConfig,
-    criterion: DecisionCriterion = DecisionCriterion.MAX_BELIEF,
-) -> tuple[TrackerState, TrackRecord]:
-    """Consume one declaration: fuse, decide, advance the scan counter."""
-    observation = observation_bba(declared, confusion)
-    posterior = combine(cfg, state.belief, observation)
-    scan = state.scan + 1
-    record = TrackRecord(scan, declared, posterior, decide(posterior, criterion))
-    return TrackerState(state.frame, posterior, scan), record
-
-
 def run_track(
     declarations: Sequence[str],
     confusion: ConfusionMatrix,
     cfg: RuleConfig,
     criterion: DecisionCriterion = DecisionCriterion.MAX_BELIEF,
 ) -> list[TrackRecord]:
-    """Fold :func:`tracker_step` over a declaration sequence from full ignorance.
+    """Track a declaration sequence from full ignorance, one record per scan.
 
-    Returns one record per declaration. Rule failures (e.g. Dempster total
-    conflict) are re-raised with the failing scan index prepended, keeping
-    the concrete exception type.
+    Each scan fuses :func:`observation_bba` of the declaration into the
+    running belief with :func:`~evidfuse.rules.combine`, then decides. Rule
+    failures (e.g. Dempster total conflict) are re-raised with the failing
+    scan index prepended, keeping the concrete exception type.
     """
     if not declarations:
         raise EvidenceError("run_track: empty declaration sequence")
-    state = initial_state(confusion.frame)
+    belief = vacuous_bba(confusion.frame)
     records: list[TrackRecord] = []
-    for declared in declarations:
+    for scan, declared in enumerate(declarations, 1):
         try:
-            state, record = tracker_step(state, declared, confusion, cfg, criterion)
+            belief = combine(cfg, belief, observation_bba(declared, confusion))
+            records.append(TrackRecord(scan, declared, belief, decide(belief, criterion)))
         except EvidenceError as exc:
-            raise type(exc)("scan %d: %s" % (state.scan + 1, exc)) from exc
-        records.append(record)
+            raise type(exc)("scan %d: %s" % (scan, exc)) from exc
     return records

@@ -155,6 +155,16 @@ def test_fuse_non_utf8_file_exits_2(workdir, capsys):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("label", ["Fig\nhter", "Fighter\r"])
+def test_fuse_label_with_line_break_exits_2(workdir, capsys, label):
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps({"frame": [label, "Cargo"], "masses": {"Cargo": 1.0}}),
+                   encoding="utf-8")
+    code = main(["fuse", str(bad), path(workdir, "m2.json"), "--rule", "pcr5"])
+    assert code == 2
+    assert "frame[0]: label %r may not contain a line break" % label in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # track
 # ---------------------------------------------------------------------------
@@ -327,6 +337,19 @@ def test_simulate_invalid_config_exits_2(workdir, tmp_path, capsys):
     code = main(["simulate", str(bad), "-o", str(tmp_path / "x.csv")])
     assert code == 2
     assert "rules[0].rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["Car\ngo", "Cargo\r"])
+def test_simulate_label_with_line_break_exits_2(workdir, tmp_path, capsys, label):
+    # such a label would break the CSV's "# columns:" comment line
+    bad = workdir / "bad.json"
+    config = json.loads((workdir / "sim.json").read_text(encoding="utf-8"))
+    config["frame"][1] = label
+    bad.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["simulate", str(bad), "-o", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "frame[1]: label %r may not contain a line break" % label in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_rejects_bad_thread_count(workdir, tmp_path, capsys):

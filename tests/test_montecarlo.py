@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seed_fileio
@@ -18,6 +18,7 @@ from evidfuse import (
     DecisionCriterion,
     EvidenceError,
     FrameError,
+    MAX_FRAME_SIZE,
     MonteCarloConfig,
     Rule,
     RuleConfig,
@@ -42,6 +43,7 @@ from evidfuse import (
 )
 from evidfuse import montecarlo
 from evidfuse.cli import main
+from evidfuse.fileio import traces_to_csv
 
 from conftest import FC_FRAME
 
@@ -401,10 +403,29 @@ def simulation_configs(draw):
     )
 
 
+def largest_frame_config():
+    """MAX_FRAME_SIZE labels, so 2**16 - 1 subset columns, kept small."""
+    frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("L0", 2), ("L15", 2))),
+        confusion=uniform_diagonal_confusion(frame, 0.7),
+        rules=default_rules(),
+        runs=3,
+        master_seed=16,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=simulation_configs())
+@example(cfg=largest_frame_config())
 def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
     assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
+
+
+def test_largest_frame_csv_has_a_column_per_subset():
+    cfg = largest_frame_config()
+    header = traces_to_csv(cfg, run_monte_carlo(cfg)).split("\n")[1].split(",")
+    assert sum(name.startswith("m_") for name in header) == 65535
 
 
 @pytest.mark.parametrize("workers", [1, 2])

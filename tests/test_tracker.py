@@ -14,10 +14,8 @@ from evidfuse import (
     TotalConflictError,
     decide,
     identity_confusion,
-    initial_state,
     observation_bba,
     run_track,
-    tracker_step,
     uniform_diagonal_confusion,
 )
 
@@ -101,13 +99,12 @@ def test_observation_bba_rejects_unknown_label():
 
 
 # ---------------------------------------------------------------------------
-# tracker_step / run_track
+# run_track
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("cfg", ALL_RULE_CONFIGS, ids=lambda c: c.describe())
 def test_first_step_from_vacuous_prior(cfg):
-    state, record = tracker_step(initial_state(FC_FRAME), "Fighter", fc_confusion(), cfg)
-    assert state.scan == 1
+    [record] = run_track(["Fighter"], fc_confusion(), cfg)
     assert record.scan == 1
     assert record.declared == "Fighter"
     assert record.decision == "Fighter"
