@@ -18,7 +18,6 @@ from .core import (
     cardinality,
     conjunctive_consensus,
     decide,
-    disjunctive_consensus,
     make_bba,
     make_frame,
     pignistic,
@@ -48,12 +47,7 @@ from .montecarlo import (
     run_monte_carlo,
     sample_decision,
 )
-from .operators import (
-    TConorm,
-    TNorm,
-    parse_tconorm,
-    parse_tnorm,
-)
+from .operators import TConorm, TNorm
 from .rng import SplitMix64, derive_run_seed, mix64
 from .rules import (
     Rule,
@@ -109,14 +103,11 @@ __all__ = [
     "default_scenario",
     "dempster_combine",
     "derive_run_seed",
-    "disjunctive_consensus",
     "identity_confusion",
     "make_bba",
     "make_frame",
     "mix64",
     "observation_bba",
-    "parse_tconorm",
-    "parse_tnorm",
     "pcr5_combine",
     "pignistic",
     "readaptation_delays",

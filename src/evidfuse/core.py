@@ -7,9 +7,8 @@ This module provides the substrate shared by every combination rule:
   bit ``i`` set means the ``i``-th frame label is included.
 * :class:`MassFunction` -- a normalized basic belief assignment over the
   nonempty subsets of a frame.
-* the unnormalized conjunctive and disjunctive consensus of two sources,
-  the total conflict, the pignistic probability transform, and decision
-  extraction.
+* the unnormalized conjunctive consensus of two sources, the total
+  conflict, the pignistic probability transform, and decision extraction.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be used freely from concurrent code.
@@ -41,7 +40,10 @@ class Frame:
     """An ordered frame of discernment.
 
     The label order is significant: label ``i`` owns bit ``i`` in every
-    focal-set bitmask built over this frame.
+    focal-set bitmask built over this frame. Labels are distinct, non-empty
+    strings with neither ``|`` nor a line break. This is the only check of
+    them; its messages name the field ``frame`` (or ``frame[i]``), the key
+    that holds the labels in every input file, so loaders pass them on.
     """
 
     labels: tuple[str, ...]
@@ -55,16 +57,20 @@ class Frame:
                 "frame supports at most %d labels, got %d" % (MAX_FRAME_SIZE, len(self.labels))
             )
         seen = set()
-        for label in self.labels:
+        for i, label in enumerate(self.labels):
             if not isinstance(label, str) or not label:
-                raise FrameError("frame labels must be non-empty strings, got %r" % (label,))
+                raise FrameError("frame[%d]: labels must be non-empty strings, got %r" % (i, label))
             if SUBSET_SEPARATOR in label:
                 raise FrameError(
-                    "frame label %r may not contain %r (reserved as the subset separator)"
-                    % (label, SUBSET_SEPARATOR)
+                    "frame[%d]: label %r may not contain %r (reserved as the subset separator)"
+                    % (i, label, SUBSET_SEPARATOR)
                 )
+            # a line break would split the CSV "# columns:" line and cannot be
+            # written in a declarations file, which holds one label per line
+            if "\n" in label or "\r" in label:
+                raise FrameError("frame[%d]: label %r may not contain a line break" % (i, label))
             if label in seen:
-                raise FrameError("duplicate frame label %r" % label)
+                raise FrameError("frame[%d]: duplicate label %r" % (i, label))
             seen.add(label)
 
     @property
@@ -185,17 +191,6 @@ class MassFunction:
     def mass(self, key: object) -> float:
         """Mass of a focal set (0.0 for non-focal subsets)."""
         return self.masses.get(_coerce_subset(self.frame, key), 0.0)
-
-    def focal_sets(self) -> tuple[int, ...]:
-        """Focal sets (positive mass) in canonical bitmask order."""
-        return tuple(sorted(self.masses))
-
-    def total(self) -> float:
-        """Accurately rounded sum of the stored masses."""
-        return fsum(self.masses.values())
-
-    def is_vacuous(self) -> bool:
-        return self.masses.get(self.frame.full_set, 0.0) == 1.0 and len(self.masses) == 1
 
     def __str__(self) -> str:
         parts = ", ".join(
@@ -335,24 +330,6 @@ def conjunctive_consensus(m1: MassFunction, m2: MassFunction) -> ConsensusResult
 def total_conflict(m1: MassFunction, m2: MassFunction) -> float:
     """Total conflict K between two sources (conjunctive mass on the empty set)."""
     return conjunctive_consensus(m1, m2).conflict
-
-
-def disjunctive_consensus(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Disjunctive combination: products of masses accumulate on set unions.
-
-    Never assigns mass to the empty set (unions of nonempty sets are
-    nonempty), so the result is a valid assignment without normalization.
-    """
-    frame = _require_same_frame(m1, m2)
-    terms: dict[int, list[float]] = defaultdict(list)
-    for a, va in m1.masses.items():
-        for b, vb in m2.masses.items():
-            terms[a | b].append(va * vb)
-    return _combined(
-        frame,
-        {bits: fsum(values) for bits, values in terms.items()},
-        where="disjunctive_consensus",
-    )
 
 
 def pignistic(m: MassFunction) -> dict[str, float]:

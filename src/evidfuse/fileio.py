@@ -8,8 +8,11 @@ JSON inputs
                         "rules": [{"rule": "tcn", "tnorm": "min",
                         "tconorm": "max"}, ...], "criterion": "belief"}
 
-Subset keys spell the included labels joined by "|" in frame order.
-Validation errors carry the offending field path.
+Subset keys spell the included labels joined by "|" in frame order. This
+module checks only the JSON shape (a field is present, a list or a string);
+every rule about a value belongs to the type that holds it, and its error is
+passed on with the field path. Rule, operator and criterion names ignore case
+and surrounding spaces.
 
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
@@ -23,6 +26,7 @@ that grows with the columns that carry mass, not with the 2^M - 1 subsets.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import json
 import re
@@ -31,10 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
-from .errors import ConfigError, EvidenceError
+from .errors import ConfigError, EvidenceError, FrameError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
+from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
-from .operators import parse_tconorm, parse_tnorm
 from .tracker import ConfusionMatrix, TrackRecord
 
 _MASS_DIGITS = ".12g"
@@ -44,15 +48,12 @@ _MASS_DIGITS = ".12g"
 # JSON input formats
 # ---------------------------------------------------------------------------
 
-def _require(data: dict, key: str, kind, path: str):
+def _require(data: dict, key: str, kind: type = object, path: str = ""):
+    """The value of a field that must be present and of type ``kind``."""
     if key not in data:
-        raise ConfigError("%s.%s: missing required field" % (path, key) if path else "%s: missing required field" % key)
+        raise ConfigError("%s: missing required field" % _join(path, key))
     value = data[key]
-    if kind is int:
-        # bool is an int subclass; floats with integral values are not accepted
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("%s: expected an integer, got %r" % (_join(path, key), value))
-    elif not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise ConfigError("%s: expected %s, got %r" % (_join(path, key), kind.__name__, value))
     return value
 
@@ -61,38 +62,46 @@ def _join(path: str, key: str) -> str:
     return "%s.%s" % (path, key) if path else key
 
 
-def frame_from_json(data: object, path: str = "frame") -> Frame:
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise ConfigError("%s: expected a list of label strings" % path)
-    for i, label in enumerate(data):
-        # a line break would split the CSV "# columns:" line and cannot be
-        # written in a declarations file, which holds one label per line
-        if "\n" in label or "\r" in label:
-            raise ConfigError("%s[%d]: label %r may not contain a line break" % (path, i, label))
+def _spelling(data: dict, key: str, kind: type[enum.Enum], path: str = "") -> enum.Enum:
+    """The member of ``kind`` that a string field spells, ignoring case and
+    surrounding spaces."""
+    name = _require(data, key, str, path)
     try:
-        return make_frame(data)
-    except EvidenceError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from exc
+        return kind(name.strip().lower())
+    except ValueError:
+        raise ConfigError(
+            "%s: unknown %s %r (choose from %s)"
+            % (_join(path, key), key, name, ", ".join(k.value for k in kind))
+        ) from None
 
 
-def mass_function_from_json(data: object, path: str = "") -> MassFunction:
+def frame_from_json(data: dict) -> Frame:
+    """The ``frame`` field of a mass, confusion or config object. Frame's
+    messages already name the field, so they pass on unchanged."""
+    try:
+        return make_frame(_require(data, "frame", list))
+    except FrameError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def mass_function_from_json(data: object) -> MassFunction:
     if not isinstance(data, dict):
-        raise ConfigError("%s: expected a JSON object" % (path or "mass function"))
-    frame = frame_from_json(_require(data, "frame", list, path), _join(path, "frame"))
-    raw = _require(data, "masses", dict, path)
+        raise ConfigError("mass function: expected a JSON object")
+    frame = frame_from_json(data)
+    raw = _require(data, "masses", dict)
     entries = {}
     for key, value in raw.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("%s[%r]: expected a number, got %r" % (_join(path, "masses"), key, value))
+            raise ConfigError("masses[%r]: expected a number, got %r" % (key, value))
         entries[str(key)] = float(value)
     try:
         return make_bba(frame, entries)
     except EvidenceError as exc:
-        raise ConfigError("%s: %s" % (_join(path, "masses"), exc)) from exc
+        raise ConfigError("masses: %s" % exc) from exc
 
 
 def load_mass_function(path: str) -> MassFunction:
-    return mass_function_from_json(_load_json(path), path="")
+    return mass_function_from_json(_load_json(path))
 
 
 def mass_function_to_json(m: MassFunction) -> dict:
@@ -122,29 +131,15 @@ def load_confusion(path: str) -> ConfusionMatrix:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise ConfigError("confusion file: expected a JSON object")
-    frame = frame_from_json(_require(data, "frame", list, ""), "frame")
-    return confusion_rows_from_json(frame, _require(data, "matrix", list, ""), "matrix")
+    return confusion_rows_from_json(frame_from_json(data), _require(data, "matrix", list), "matrix")
 
 
 def rule_config_from_json(data: object, path: str) -> RuleConfig:
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object like {\"rule\": \"pcr5\"}" % path)
-    name = _require(data, "rule", str, path)
-    try:
-        rule = Rule(name.strip().lower())
-    except ValueError:
-        raise ConfigError(
-            "%s.rule: unknown rule %r (choose from %s)"
-            % (path, name, ", ".join(r.value for r in Rule))
-        ) from None
-    operators = {}
-    for key, parse in (("tnorm", parse_tnorm), ("tconorm", parse_tconorm)):
-        if key in data:
-            spelling = _require(data, key, str, path)
-            try:
-                operators[key] = parse(spelling)
-            except ValueError as exc:
-                raise ConfigError("%s.%s: %s" % (path, key, exc)) from None
+    rule = _spelling(data, "rule", Rule, path)
+    operators = {key: _spelling(data, key, kind, path)
+                 for key, kind in (("tnorm", TNorm), ("tconorm", TConorm)) if key in data}
     try:
         return RuleConfig(rule, **operators)
     except ConfigError as exc:
@@ -162,47 +157,30 @@ def rule_config_to_json(cfg: RuleConfig) -> dict:
 def simulation_config_from_json(data: object) -> MonteCarloConfig:
     if not isinstance(data, dict):
         raise ConfigError("config file: expected a JSON object")
-    frame = frame_from_json(_require(data, "frame", list, ""), "frame")
-    confusion = confusion_rows_from_json(frame, _require(data, "confusion", list, ""), "confusion")
+    frame = frame_from_json(data)
+    confusion = confusion_rows_from_json(frame, _require(data, "confusion", list), "confusion")
 
-    raw_segments = _require(data, "segments", list, "")
     segments = []
-    for i, item in enumerate(raw_segments):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], str)
-            or isinstance(item[1], bool)
-            or not isinstance(item[1], int)
-        ):
+    for i, item in enumerate(_require(data, "segments", list)):
+        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str):
             raise ConfigError("segments[%d]: expected [\"label\", scans]" % i)
-        segments.append((item[0], item[1]))
+        segments.append(tuple(item))
     try:
         scenario = Scenario(frame, tuple(segments))
     except EvidenceError as exc:
         raise ConfigError("segments: %s" % exc) from exc
 
-    raw_rules = _require(data, "rules", list, "")
+    raw_rules = _require(data, "rules", list)
     rules = tuple(rule_config_from_json(item, "rules[%d]" % i) for i, item in enumerate(raw_rules))
-
-    criterion = DecisionCriterion.MAX_BELIEF
-    if "criterion" in data:
-        name = _require(data, "criterion", str, "")
-        try:
-            criterion = DecisionCriterion(name.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                "criterion: unknown criterion %r (choose from %s)"
-                % (name, ", ".join(c.value for c in DecisionCriterion))
-            ) from None
-
+    criterion = (_spelling(data, "criterion", DecisionCriterion) if "criterion" in data
+                 else DecisionCriterion.MAX_BELIEF)
     try:
         return MonteCarloConfig(
             scenario=scenario,
             confusion=confusion,
             rules=rules,
-            runs=_require(data, "runs", int, ""),
-            master_seed=_require(data, "master_seed", int, ""),
+            runs=_require(data, "runs"),
+            master_seed=_require(data, "master_seed"),
             criterion=criterion,
         )
     except EvidenceError as exc:
@@ -226,10 +204,12 @@ def simulation_config_to_json(cfg: MonteCarloConfig) -> dict:
 
 
 def load_declarations(path: str, frame: Frame) -> list[str]:
-    """One declared label per line; blank lines are skipped."""
+    """One declared label per line: the line itself when it is a label (labels
+    may start or end with spaces), else the line stripped; blank lines are
+    skipped."""
     declarations = []
     for number, line in enumerate(_read_text(path).split("\n"), start=1):
-        label = line.strip()
+        label = line if line in frame.labels else line.strip()
         if not label:
             continue
         if label not in frame.labels:

@@ -73,6 +73,11 @@ from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 CHUNK_RUNS = 32
 
 
+def _is_integer(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: counts and seeds are never truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Ground truth as (type label, duration in scans) segments."""
@@ -81,14 +86,14 @@ class Scenario:
     segments: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        segments = tuple((label, int(duration)) for label, duration in self.segments)
+        segments = tuple((label, duration) for label, duration in self.segments)
         object.__setattr__(self, "segments", segments)
         if not segments:
             raise FrameError("scenario needs at least one segment")
         for label, duration in segments:
             self.frame.index(label)  # raises on unknown labels
-            if duration < 1:
-                raise FrameError("segment (%r, %d) has zero or negative duration" % (label, duration))
+            if not _is_integer(duration) or duration < 1:
+                raise FrameError("segment (%r, %r): duration must be a positive integer" % (label, duration))
 
     @property
     def total_scans(self) -> int:
@@ -129,8 +134,10 @@ class MonteCarloConfig:
         object.__setattr__(self, "rules", tuple(self.rules))
         if self.confusion.frame != self.scenario.frame:
             raise FrameMismatchError("scenario and confusion matrix use different frames")
-        if int(self.runs) != self.runs or self.runs < 1:
+        if not _is_integer(self.runs) or self.runs < 1:
             raise ConfigError("runs must be a positive integer, got %r" % (self.runs,))
+        if not _is_integer(self.master_seed):
+            raise ConfigError("master_seed must be an integer, got %r" % (self.master_seed,))
         if not self.rules:
             raise ConfigError("at least one rule configuration is required")
 

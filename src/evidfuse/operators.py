@@ -76,22 +76,3 @@ TCONORM_ARRAYS = {
     TConorm.SUM: np.add,
 }
 
-
-def parse_tnorm(name: str) -> TNorm:
-    """Map a CLI spelling ("min", "product", "bounded") to a t-norm."""
-    try:
-        return TNorm(name.strip().lower())
-    except ValueError:
-        raise ValueError(
-            "unknown t-norm %r (choose from %s)" % (name, ", ".join(k.value for k in TNorm))
-        ) from None
-
-
-def parse_tconorm(name: str) -> TConorm:
-    """Map a CLI spelling ("max", "sum") to a t-conorm."""
-    try:
-        return TConorm(name.strip().lower())
-    except ValueError:
-        raise ValueError(
-            "unknown t-conorm %r (choose from %s)" % (name, ", ".join(k.value for k in TConorm))
-        ) from None

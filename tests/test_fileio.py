@@ -15,6 +15,7 @@ from evidfuse import (
     AveragedTrace,
     ConfigError,
     DecisionCriterion,
+    FrameError,
     MonteCarloConfig,
     Rule,
     RuleConfig,
@@ -31,6 +32,7 @@ from evidfuse import (
 from evidfuse.core import MassFunction
 from evidfuse.fileio import (
     format_mass,
+    frame_from_json,
     load_confusion,
     load_declarations,
     load_mass_function,
@@ -159,6 +161,47 @@ def test_load_simulation_config_criterion(tmp_path):
     assert cfg.criterion is DecisionCriterion.MAX_PIGNISTIC
 
 
+def test_load_simulation_config_spellings_ignore_case_and_spaces(tmp_path):
+    data = dict(VALID_CONFIG, criterion=" Pignistic ", rules=[
+        {"rule": " PCR5"},
+        {"rule": "TCN", "tnorm": "PRODUCT", "tconorm": "max"},
+        {"rule": "tcn ", "tnorm": " bounded ", "tconorm": "Sum"},
+    ])
+    cfg = load_simulation_config(write_json(tmp_path, "sim.json", data))
+    assert cfg.rules == (
+        RuleConfig(Rule.PCR5),
+        RuleConfig(Rule.TCN, TNorm.PRODUCT, TConorm.MAX),
+        RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.SUM),
+    )
+    assert cfg.criterion is DecisionCriterion.MAX_PIGNISTIC
+
+
+def test_load_simulation_config_rejects_unknown_tconorm(tmp_path):
+    # an unknown t-norm is among test_load_simulation_config_field_paths' cases
+    data = dict(VALID_CONFIG, rules=[{"rule": "tcn", "tnorm": "min", "tconorm": "probabilistic"}])
+    with pytest.raises(ConfigError, match=r"rules\[0\]\.tconorm: unknown tconorm 'probabilistic'"):
+        load_simulation_config(write_json(tmp_path, "sim.json", data))
+
+
+@pytest.mark.parametrize("labels", [
+    ["", "B"],
+    ["A|B", "C"],
+    ["A", "A"],
+    ["Fig\nhter", "Cargo"],
+    ["Fighter", "Cargo\r"],
+    ["A"],
+    ["T%d" % i for i in range(17)],
+    ["A", 5],
+], ids=["empty", "separator", "duplicate", "newline", "carriage-return", "one-label", "17-labels",
+        "not-a-string"])
+def test_frame_loader_passes_the_frame_error_on(labels):
+    with pytest.raises(FrameError) as expected:
+        make_frame(labels)
+    with pytest.raises(ConfigError) as raised:
+        frame_from_json({"frame": labels})
+    assert str(raised.value).endswith(str(expected.value))
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -220,6 +263,12 @@ def test_load_declarations_unknown_label_has_line_number(tmp_path):
     path.write_text("Fighter\nBomber\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="line 2"):
         load_declarations(str(path), FC_FRAME)
+
+
+def test_load_declarations_matches_a_label_with_outer_spaces(tmp_path):
+    path = tmp_path / "decls.txt"
+    path.write_text(" lead\nB\n  B \n\n", encoding="utf-8")
+    assert load_declarations(str(path), make_frame([" lead", "B"])) == [" lead", "B", "B"]
 
 
 def test_load_declarations_rejects_empty(tmp_path):
@@ -331,7 +380,7 @@ def test_plot_data_is_parseable_as_floats():
 # ---------------------------------------------------------------------------
 
 #: Labels the csv writer must quote, plus spaces and non-ASCII text.
-AWKWARD_LABELS = ["a,b", 'say "hi"', " lead", "two words", "Überflug", "戦闘機", "x\r", "F-16 A/B"]
+AWKWARD_LABELS = ["a,b", 'say "hi"', " lead", "two words", "Überflug", "戦闘機", "x\t", "F-16 A/B"]
 
 #: Mass values that stress the formatter: signed zeros, subnormals, ties.
 AWKWARD_MASSES = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.1, 0.5, 1.0, 1e-05, 123456789.123]
@@ -344,7 +393,7 @@ ALL_RULE_CONFIGS = [RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.PCR5)] + [
 def awkward_frame(draw, m):
     labels = draw(st.lists(st.sampled_from(AWKWARD_LABELS) | st.text(min_size=1, max_size=4),
                            min_size=m, max_size=m, unique=True)
-                  .filter(lambda ls: all("|" not in label for label in ls)))
+                  .filter(lambda ls: not any(c in label for label in ls for c in "|\n\r")))
     return make_frame(labels)
 
 

@@ -93,6 +93,10 @@ def test_scenario_rejects_bad_segments():
         Scenario(FC_FRAME, (("Cargo", 0),))
     with pytest.raises(EvidenceError):
         Scenario(FC_FRAME, (("Bomber", 5),))
+    # durations are never truncated: 2.5 and True are not scan counts
+    for duration in (2.5, True):
+        with pytest.raises(FrameError, match="duration must be a positive integer"):
+            Scenario(FC_FRAME, (("Cargo", duration),))
 
 
 def test_config_validation():
@@ -100,6 +104,14 @@ def test_config_validation():
         small_config(runs=0)
     with pytest.raises(ConfigError):
         small_config(rules=())
+    for runs in (64.0, True):
+        with pytest.raises(ConfigError, match="runs must be a positive integer"):
+            small_config(runs=runs)
+        with pytest.raises(ConfigError, match="runs"):
+            default_config(runs=runs)
+    for seed in ("x", 2.5):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            small_config(master_seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evidfuse import (
-    TConorm,
-    TNorm,
-    parse_tconorm,
-    parse_tnorm,
-)
+from evidfuse import TConorm, TNorm
 from evidfuse.operators import TCONORM_FUNCS, TNORM_FUNCS
 
 units = st.floats(0.0, 1.0, allow_nan=False)
@@ -104,18 +99,3 @@ def test_tconorm_monotonicity(kind, x, y, a, b):
     lo = s(min(x, a), min(y, b))
     hi = s(max(x, a), max(y, b))
     assert lo <= hi + 1e-12
-
-
-def test_parse_operators():
-    assert parse_tnorm("min") is TNorm.MIN
-    assert parse_tnorm("PRODUCT") is TNorm.PRODUCT
-    assert parse_tnorm(" bounded ") is TNorm.BOUNDED
-    assert parse_tconorm("max") is TConorm.MAX
-    assert parse_tconorm("Sum") is TConorm.SUM
-
-
-def test_parse_operators_reject_unknown():
-    with pytest.raises(ValueError):
-        parse_tnorm("lukasiewicz")
-    with pytest.raises(ValueError):
-        parse_tconorm("probabilistic")
