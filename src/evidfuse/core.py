@@ -20,6 +20,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 from math import fsum, isfinite
+from numbers import Real
 from operator import mul
 from typing import Callable, Iterable, Mapping
 
@@ -153,11 +154,22 @@ def _coerce_subset(frame: Frame, key: object) -> int:
     raise FrameError("cannot interpret %r as a focal set" % (key,))
 
 
+def _is_real(value: object) -> bool:
+    """An int, a float or a numpy real scalar, but not a bool: a mass or a
+    probability is never read from ``True`` or from a numeric string."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _clean_masses(frame: Frame, entries: Mapping[object, float], *, where: str) -> dict[int, float]:
     """Validate mass entries shared by all constructors; prunes zeros."""
     masses: dict[int, float] = {}
     for key, value in entries.items():
         bits = _coerce_subset(frame, key)
+        if not _is_real(value):
+            raise MassFunctionError(
+                "%s: mass %r on %s is not a number"
+                % (where, value, frame.format_subset(bits) if bits else "the empty set")
+            )
         value = float(value)
         if not isfinite(value) or value < 0.0:
             raise MassFunctionError(

@@ -89,13 +89,8 @@ def mass_function_from_json(data: object) -> MassFunction:
         raise ConfigError("mass function: expected a JSON object")
     frame = frame_from_json(data)
     raw = _require(data, "masses", dict)
-    entries = {}
-    for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError("masses[%r]: expected a number, got %r" % (key, value))
-        entries[str(key)] = float(value)
     try:
-        return make_bba(frame, entries)
+        return make_bba(frame, raw)
     except EvidenceError as exc:
         raise ConfigError("masses: %s" % exc) from exc
 
@@ -114,15 +109,11 @@ def mass_function_to_json(m: MassFunction) -> dict:
 def confusion_rows_from_json(frame: Frame, data: object, path: str) -> ConfusionMatrix:
     if not isinstance(data, list):
         raise ConfigError("%s: expected a list of rows" % path)
-    rows = []
     for i, row in enumerate(data):
-        if not isinstance(row, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in row
-        ):
+        if not isinstance(row, list):
             raise ConfigError("%s[%d]: expected a list of numbers" % (path, i))
-        rows.append(tuple(float(v) for v in row))
     try:
-        return ConfusionMatrix(frame, tuple(rows))
+        return ConfusionMatrix(frame, tuple(data))
     except EvidenceError as exc:
         raise ConfigError("%s: %s" % (path, exc)) from exc
 

@@ -8,14 +8,26 @@ over all runs.
 
 Reproducibility contract: run ``i`` owns a private splitmix64 stream seeded
 by :func:`~evidfuse.rng.derive_run_seed`, runs are accumulated in blocks of
-:data:`CHUNK_RUNS` consecutive runs, and block partial sums are merged in
-block order. The result is bit-identical no matter how many worker processes
-computed the blocks. A block draws all its declarations at once from the
-closed form of the streams (:func:`~evidfuse.rng.run_floats`), with the
-inverse CDF of :func:`sample_decision`, the scalar reference.
+:data:`CHUNK_RUNS` consecutive runs, each block's sums are added in run
+order, and the block sums are merged in block order. The block, not the unit
+of compute, fixes every floating-point grouping, so the result is
+bit-identical however the blocks are computed and on how many processes.
 
-Batch engine. A block tracks all of its (rule, run) pairs at once. Lane
-``j * R + r`` holds rule ``j`` on the block's ``r``-th run, and one
+Slabs. One engine call, :func:`_run_block`, runs a slab: as many whole blocks
+as keep its ``(scans, lanes, M + 1)`` posterior store within
+:data:`_SLAB_BYTES` (8 MiB), worked out from the config as scans x rules x
+(M + 1) doubles per run, and at least one block. It returns one partial per
+block. The default config (100 scans, 6 rules, M = 2) gets 18 blocks, 576
+runs, per slab; a 128-run, 20-scan, 10-label config is one slab. A slab draws
+all its declarations at once from the closed form of the streams
+(:func:`~evidfuse.rng.run_floats`), with the inverse CDF of
+:func:`sample_decision`, the scalar reference. ``run_monte_carlo`` runs the
+slabs inline, and maps them over a process pool of at most ``workers``
+processes only when there are two or more slabs: a run count that fits one
+slab never forks.
+
+Batch engine. A slab tracks all of its (rule, run) pairs at once. Lane
+``j * R + r`` holds rule ``j`` on the slab's ``r``-th run, and one
 ``(lanes, M + 1)`` array holds every lane's current assignment: column
 ``i < M`` is the singleton of label ``i``, column ``M`` is the full set.
 These M + 1 columns are all a track ever reaches: the prior starts vacuous,
@@ -38,16 +50,19 @@ singleton ``i != s`` gets at most two terms, ``T(m_i, 1 - c)`` and, when
 conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
 correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
 The declared singleton gets 3 + (M - 1) terms, and the normalizer of
-Dempster and TCN sums M + 1 masses; both keep one ``fsum`` per lane. A pair
-the scalar kernel skips (t-norm 0) enters as an exact zero, which changes no
-sum. Runs are added to the block sums in run order, and ``argmax`` (first
-maximum) reproduces the lowest-index tie break of
+Dempster and TCN sums M + 1 masses. Both go through :func:`_exact_sum`, which
+returns each lane's ``fsum`` bit for bit from error-free TwoSum trees and a
+certificate, and calls ``fsum`` for the lanes it cannot certify (about 1 % on
+the default config) and for slabs under :data:`_EXACT_SUM_MIN_ROWS` lanes. A
+pair the scalar kernel skips (t-norm 0) enters as an exact zero, which
+changes no sum.
+``argmax`` (first maximum) reproduces the lowest-index tie break of
 :func:`~evidfuse.core.decide` under both criteria.
 
 Degenerate lanes: the scalar output audit (finite, nonnegative, total within
 :data:`~evidfuse.core.SUM_TOLERANCE` of 1) and the normalizer floor are
 checked for all lanes once per scan. A flagged lane is parked on the vacuous
-assignment and the block carries on; at its end the lowest flagged run, then
+assignment and the slab carries on; at its end the lowest flagged run, then
 its first flagged rule in config order, is replayed through the scalar
 ``run_track``, so the error raised is the scalar one, with its run, rule and
 scan context.
@@ -57,7 +72,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import fsum
 
 import numpy as np
@@ -71,6 +86,23 @@ from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 
 #: Runs per accumulation block; fixed so results do not depend on worker count.
 CHUNK_RUNS = 32
+
+#: Bytes of posterior store, ``scans x lanes x (M + 1)`` doubles, that one
+#: engine call (a slab of whole blocks) may hold. On the 10 000-run default
+#: config on one core (x86_64, numpy 2.4), 4 to 8 MiB ran fastest; 2, 16
+#: and 32 MiB were slower.
+_SLAB_BYTES = 8 << 20
+
+#: Fewest rows that :func:`_exact_sum` sums as arrays. Below about 128 to 192
+#: rows of 3 to 13 terms, one ``fsum`` per row is faster, as numpy's per-call
+#: overhead dominates (measured on x86_64 with numpy 2.4); 256 leaves a margin.
+_EXACT_SUM_MIN_ROWS = 256
+
+#: Bound on every term's magnitude on the array path. A row of fewer than
+#: 2**20 such terms overflows neither in the TwoSum trees nor in ``fsum``'s
+#: partials (``fsum`` raises OverflowError on an intermediate overflow, even
+#: when the sum is finite); inf and NaN fail the test too.
+_EXACT_SUM_MAX_TERM = 2.0**1000
 
 
 def _is_integer(value: object) -> bool:
@@ -208,6 +240,60 @@ def _per_lane(table: dict, kinds: tuple, n_runs: int, ndim: int):
     return apply
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: ``s = fl(a + b)`` and its rounding error, ``a + b - s``
+    exactly (no overflow)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Column sums of ``terms`` (k, n) by a pairwise TwoSum tree, and the k - 1
+    rounding errors: the column sum is exactly the result plus the errors."""
+    errors = []
+    while len(terms) > 1:
+        half = len(terms) // 2
+        s, e = _two_sum(terms[:half], terms[half:2 * half])
+        errors.append(e)
+        terms = np.concatenate((s, terms[2 * half:])) if len(terms) % 2 else s
+    return terms[0], errors
+
+
+def _exact_sum(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, bit for bit.
+
+    With X the exact row sum: a TwoSum tree gives ``X = s + sum(e)``, a second
+    tree over the errors ``sum(e) = E + sum(f)``, and a last TwoSum
+    ``s + E = res + r``, all exactly (Ogita, Rump & Oishi 2005). When every
+    ``f`` is 0, ``res`` is the correctly rounded ``s + E = X`` and rounds ties
+    to even as ``fsum`` does. Otherwise ``X - res = r + sum(f)`` with
+    ``|sum(f)| <= B = 2 fl(sum(|f|))``, and ``res`` is certified when
+    ``2 (r + B)`` is under the gap to the next double up and ``2 (B - r)``
+    under the gap down: X then lies strictly inside res's rounding interval.
+    Both sides of each test are computed exactly or are doubles (a gap is a
+    power of two, or the subnormal step near 0), and rounding is monotone, so
+    a computed pass implies an exact one. A zero result is +0.0, as from
+    ``fsum``: an IEEE sum is -0.0 only when every addend is, and no TwoSum
+    error is. Rows that fail go through ``fsum`` one by one; arrays with fewer
+    than :data:`_EXACT_SUM_MIN_ROWS` rows, or with a term not below
+    :data:`_EXACT_SUM_MAX_TERM` in magnitude, go through it whole."""
+    if len(rows) < _EXACT_SUM_MIN_ROWS or not np.abs(rows).max() < _EXACT_SUM_MAX_TERM:
+        return np.array(list(map(fsum, rows.tolist())))
+    s, e = _tree_sum(np.ascontiguousarray(rows.T))
+    sum_e, f = _tree_sum(np.concatenate(e))
+    res, r = _two_sum(s, sum_e)
+    if f:
+        bound = 2.0 * np.abs(np.concatenate(f)).sum(axis=0)
+        up = np.nextafter(res, np.inf) - res
+        down = res - np.nextafter(res, -np.inf)
+        certain = (bound == 0.0) | ((2.0 * (r + bound) < up) & (2.0 * (bound - r) < down))
+        uncertain = np.flatnonzero(~certain)
+        if uncertain.size:
+            res[uncertain] = list(map(fsum, rows[uncertain].tolist()))
+    return res
+
+
 def _declarations(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     """Label index ``[r, k]`` that :func:`sample_decision` declares at scan
     ``k + 1`` of run ``start + r``: the first label whose running row sum (the
@@ -219,9 +305,18 @@ def _declarations(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     return np.minimum((cumulative <= u[..., None]).sum(axis=2), cfg.frame.size - 1)
 
 
-def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def _slab_runs(cfg: MonteCarloConfig) -> int:
+    """Runs per slab: as many whole blocks as keep a slab's posterior store
+    within :data:`_SLAB_BYTES`, and at least one."""
+    block_bytes = 8 * CHUNK_RUNS * cfg.scenario.total_scans * len(cfg.rules) * (cfg.frame.size + 1)
+    return CHUNK_RUNS * max(1, _SLAB_BYTES // block_bytes)
+
+
+def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Mass sums ``(scans, rules, M + 1)`` and correct-decision counts
-    ``(scans, rules)`` of runs [start, stop), each added in run order."""
+    ``(scans, rules)`` of each block of the slab of runs [start, stop), in
+    block order; ``start`` is a block boundary, and each block's runs are
+    added in run order."""
     frame = cfg.frame
     m = frame.size
     truth = cfg.scenario.expand()
@@ -261,9 +356,9 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray
         post[...] = t[:, 1]
         post[:, :m] += prior[:, :m] * ratio
         terms = np.column_stack((obs[k, :, 0] * ratio, t[rows, 0, s], t[:, 0, m], t[rows, 1, s]))
-        post[rows, s] = list(map(fsum, terms.tolist()))
+        post[rows, s] = _exact_sum(terms)
 
-        totals = np.array(list(map(fsum, post[normalized].tolist())))
+        totals = _exact_sum(post[normalized])
         degenerate = totals <= floors
         post[normalized] /= np.where(degenerate, 1.0, totals)[:, None]
         bad = ~((post >= 0.0).all(axis=1) & (np.abs(post.sum(axis=1) - 1.0) <= SUM_TOLERANCE))
@@ -281,15 +376,18 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> tuple[np.ndarray
     if failed.any():
         _replay_first_failure(cfg, [[frame.labels[i] for i in run] for run in runs.tolist()], start, failed)
     by_run = masses.reshape(n_scans, n_rules, n_runs, m + 1)
-    mass_sums = np.zeros((n_scans, n_rules, m + 1))
-    for r in range(n_runs):  # run order, as the scalar accumulation
-        mass_sums += by_run[:, :, r]
-    return mass_sums, correct.reshape(n_scans, n_rules, n_runs).sum(axis=2, dtype=np.float64)
+    blocks = range(0, n_runs, CHUNK_RUNS)
+    mass_sums = np.zeros((n_scans, n_rules, len(blocks), m + 1))
+    for r in range(min(CHUNK_RUNS, n_runs)):  # run r of every block: run order, as the scalar loop
+        nth = by_run[:, :, r::CHUNK_RUNS]
+        mass_sums[:, :, :nth.shape[2]] += nth
+    counts = np.add.reduceat(correct.reshape(n_scans, n_rules, n_runs), blocks, axis=2, dtype=np.float64)
+    return [(mass_sums[:, :, b], counts[:, :, b]) for b in range(len(blocks))]
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: list[list[str]], start: int,
                           failed: np.ndarray) -> None:
-    """Raise the scalar tracker's error for the lowest failed run of a block,
+    """Raise the scalar tracker's error for the lowest failed run of a slab,
     first failed rule in config order."""
     n_runs = len(runs)
     r, j = min((int(lane) % n_runs, int(lane) // n_runs) for lane in np.flatnonzero(failed))
@@ -307,24 +405,25 @@ def _replay_first_failure(cfg: MonteCarloConfig, runs: list[list[str]], start: i
 def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTrace]:
     """Run the full simulation and average the traces.
 
-    ``workers`` > 1 distributes run blocks over a process pool; the output is
-    bit-identical for any worker count (see module docstring).
+    ``workers`` > 1 distributes slabs over a process pool when there are two
+    or more; the output is bit-identical for any worker count (see module
+    docstring).
     """
-    bounds = [(start, min(start + CHUNK_RUNS, cfg.runs)) for start in range(0, cfg.runs, CHUNK_RUNS)]
-    if workers > 1 and len(bounds) > 1:
-        starts = [b[0] for b in bounds]
-        stops = [b[1] for b in bounds]
-        with ProcessPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-            partials = list(pool.map(_run_block, repeat(cfg), starts, stops))
+    step = _slab_runs(cfg)
+    starts = range(0, cfg.runs, step)
+    stops = [min(start + step, cfg.runs) for start in starts]
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            slabs = list(pool.map(_run_block, repeat(cfg), starts, stops))
     else:
-        partials = [_run_block(cfg, start, stop) for start, stop in bounds]
+        slabs = list(map(_run_block, repeat(cfg), starts, stops))
 
     frame = cfg.frame
     truth = cfg.scenario.expand()
     n_scans = len(truth)
     mass_total = np.zeros((n_scans, len(cfg.rules), frame.size + 1))
     correct_total = np.zeros((n_scans, len(cfg.rules)))
-    for mass_sums, correct in partials:  # block order: merge is worker-count invariant
+    for mass_sums, correct in chain.from_iterable(slabs):  # block order: merge is worker-count invariant
         mass_total += mass_sums
         correct_total += correct
     columns = [frame.singleton(label) - 1 for label in frame.labels] + [frame.full_set - 1]

@@ -20,14 +20,30 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
 
+# The array path holds every operand as an ``np.uint64``, so its arithmetic
+# wraps modulo 2**64 and no numpy promotion rule (which changed between 1.x
+# and 2.x for Python ints) takes part; no mask is needed.
+_GAMMA_U64 = np.uint64(GOLDEN_GAMMA)
+_MULT_1_U64 = np.uint64(_MIX_MULT_1)
+_MULT_2_U64 = np.uint64(_MIX_MULT_2)
+_U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
+
 
 def mix64(value: int) -> int:
     """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value;
-    elementwise on an ``np.uint64`` array, whose multiplies wrap."""
+    elementwise on an ``np.uint64`` array."""
+    if isinstance(value, np.ndarray):
+        return _mix64_array(value)
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U30)) * _MULT_1_U64
+    z = (z ^ (z >> _U27)) * _MULT_2_U64
+    return z ^ (z >> _U31)
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -35,8 +51,11 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
     Deterministic, and distinct run indices give distinct seeds in practice
     (the mix is a bijection of the 64-bit offsets). Also elementwise over an
-    ``np.uint64`` array of run indices when ``master_seed`` is in 0..2**64 - 1.
+    ``np.uint64`` array of run indices.
     """
+    if isinstance(run_index, np.ndarray):
+        offsets = run_index.astype(np.uint64, copy=False) * _GAMMA_U64
+        return _mix64_array(np.uint64(master_seed & _MASK64) + offsets)
     return mix64((master_seed + run_index * GOLDEN_GAMMA) & _MASK64)
 
 
@@ -44,9 +63,10 @@ def run_floats(master_seed: int, start: int, stop: int, draws: int) -> np.ndarra
     """``[r, k]`` is draw ``k + 1`` of ``SplitMix64(derive_run_seed(master_seed,
     start + r)).next_float()``: draw k of a stream seeded s is
     ``mix64(s + k * GOLDEN_GAMMA)``, so every draw is one array mix."""
-    seeds = derive_run_seed(master_seed & _MASK64, np.arange(start, stop, dtype=np.uint64))
-    steps = np.arange(1, draws + 1, dtype=np.uint64) * GOLDEN_GAMMA
-    return (mix64(seeds[:, None] + steps) >> 11) * 2.0**-53
+    seeds = derive_run_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
+    steps = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA_U64
+    bits = _mix64_array(seeds[:, None] + steps) >> _U11
+    return bits.astype(np.float64) * 2.0**-53
 
 
 class SplitMix64:

@@ -18,6 +18,7 @@ from .core import (
     Frame,
     MassFunction,
     SUM_TOLERANCE,
+    _is_real,
     decide,
     vacuous_bba,
 )
@@ -37,8 +38,7 @@ class ConfusionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = tuple(tuple(row) for row in self.rows)
         m = self.frame.size
         if len(rows) != m:
             raise FrameError("confusion matrix needs %d rows, got %d" % (m, len(rows)))
@@ -46,11 +46,13 @@ class ConfusionMatrix:
             if len(row) != m:
                 raise FrameError("confusion matrix row %d needs %d entries, got %d" % (i, m, len(row)))
             for value in row:
-                if not isfinite(value) or not 0.0 <= value <= 1.0:
-                    raise FrameError("confusion matrix row %d has entry %r outside [0, 1]" % (i, value))
+                if not _is_real(value) or not isfinite(value) or not 0.0 <= value <= 1.0:
+                    raise FrameError(
+                        "confusion matrix row %d has entry %r, not a number in [0, 1]" % (i, value))
             total = fsum(row)
             if abs(total - 1.0) > SUM_TOLERANCE:
                 raise FrameError("confusion matrix row %d sums to %.17g, not 1" % (i, total))
+        object.__setattr__(self, "rows", tuple(tuple(float(v) for v in row) for row in rows))
 
     def diagonal(self, label: str) -> float:
         """Self-declaration probability of a type."""

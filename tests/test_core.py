@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -167,6 +168,18 @@ def test_make_bba_keeps_exact_unit_totals_bitwise():
 def test_make_bba_rejects_duplicate_keys():
     with pytest.raises(MassFunctionError):
         make_bba(FC_FRAME, {"Fighter": 0.5, 0b01: 0.5})
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1.0", "1", None, [1.0]])
+def test_make_bba_rejects_masses_that_are_not_numbers(value):
+    # float() would read True and "1.0" as a unit mass
+    with pytest.raises(MassFunctionError, match=r"make_bba: mass .* on Fighter is not a number"):
+        make_bba(FC_FRAME, {"Fighter": value})
+
+
+@pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)])
+def test_make_bba_accepts_ints_floats_and_numpy_reals(value):
+    assert make_bba(FC_FRAME, {"Fighter": value}).masses == {FC_FRAME.singleton("Fighter"): 1.0}
 
 
 def test_vacuous_bba():

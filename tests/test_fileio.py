@@ -115,6 +115,16 @@ def test_load_mass_function_errors(tmp_path):
         )
 
 
+@pytest.mark.parametrize("value", [True, "1.0", None])
+def test_loaders_pass_on_the_types_number_check(tmp_path, value):
+    # JSON true or "1.0" is not a mass or a probability; the message is the type's own
+    with pytest.raises(ConfigError, match=r"^masses: make_bba: mass .* on F is not a number"):
+        load_mass_function(write_json(tmp_path, "m.json", {"frame": ["F", "C"], "masses": {"F": value}}))
+    matrix = {"frame": ["F", "C"], "matrix": [[value, 0.0], [0.0, 1.0]]}
+    with pytest.raises(ConfigError, match=r"^matrix: confusion matrix row 0 has entry .*, not a number"):
+        load_confusion(write_json(tmp_path, "c.json", matrix))
+
+
 def test_load_mass_function_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -134,8 +144,11 @@ def test_load_confusion(tmp_path):
 
 def test_load_confusion_errors(tmp_path):
     bad_row = {"frame": ["F", "C"], "matrix": [[0.9, 0.1], [0.9, "x"]]}
-    with pytest.raises(ConfigError, match=r"matrix\[1\]"):
+    with pytest.raises(ConfigError, match=r"^matrix: confusion matrix row 1 has entry 'x', not a number"):
         load_confusion(write_json(tmp_path, "a.json", bad_row))
+    not_a_row = {"frame": ["F", "C"], "matrix": [[0.9, 0.1], 0.9]}
+    with pytest.raises(ConfigError, match=r"matrix\[1\]: expected a list of numbers"):
+        load_confusion(write_json(tmp_path, "c.json", not_a_row))
     nonstochastic = {"frame": ["F", "C"], "matrix": [[0.9, 0.3], [0.1, 0.9]]}
     with pytest.raises(ConfigError, match="matrix"):
         load_confusion(write_json(tmp_path, "b.json", nonstochastic))

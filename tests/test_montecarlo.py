@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -342,14 +344,59 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    cfg = small_config(runs=70)  # three blocks
+    cfg = small_config(runs=70)  # three blocks, which fit one slab: no pool
     inline = run_monte_carlo(cfg, workers=1)
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    run_monte_carlo(cfg, workers=8)
+    assert started == []
+    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)  # one block per slab
     pooled = run_monte_carlo(cfg, workers=8)
     assert started == [3]
     for a, b in zip(inline, pooled):
         assert a.mean_masses.tobytes() == b.mean_masses.tobytes()
         assert a.correct_rate.tobytes() == b.correct_rate.tobytes()
+
+
+def test_slab_holds_whole_blocks_within_its_byte_budget():
+    cfg = default_config()  # 100 scans, 6 rules, M = 2: 460 800 store bytes per block
+    assert montecarlo._slab_runs(cfg) == 18 * montecarlo.CHUNK_RUNS
+    frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
+    long_track = MonteCarloConfig(  # one block alone holds 10.4 MB: a slab is still one block
+        scenario=Scenario(frame, (("L0", 400),)), confusion=uniform_diagonal_confusion(frame, 0.7),
+        rules=default_rules(), runs=100, master_seed=1)
+    assert montecarlo._slab_runs(long_track) == montecarlo.CHUNK_RUNS
+    slab = montecarlo._run_block(cfg, 0, 70)  # a slab's blocks, each summed on its own
+    assert len(slab) == 3
+    for (mass_sums, correct), start in zip(slab, (0, 32, 64)):
+        alone, = montecarlo._run_block(cfg, start, min(start + 32, 70))
+        assert mass_sums.tobytes() == alone[0].tobytes()
+        assert correct.tobytes() == alone[1].tobytes()
+
+
+def first_failure_in_the_second_slab_config():
+    # declaring Fighter (diagonal 0.5) on the first two scans makes the
+    # bounded t-norm vanish; with this seed that first happens in run 38
+    frame = default_frame()
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("Cargo", 6),)),
+        confusion=ConfusionMatrix(frame, ((0.5, 0.5), (0.1, 0.9))),
+        rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX),
+               RuleConfig(Rule.DEMPSTER)),
+        runs=70,
+        master_seed=2,
+    )
+
+
+@pytest.mark.parametrize("cfg, error", [
+    (small_config(runs=70), None),
+    (first_failure_in_the_second_slab_config(), "run 38, rule tcn(bounded, max): scan 2: "),
+], ids=["output", "first-failure"])
+def test_real_pool_over_slabs_matches_one_worker(monkeypatch, cfg, error):
+    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)  # three one-block slabs, two workers
+    assert montecarlo._slab_runs(cfg) == montecarlo.CHUNK_RUNS
+    expected = outcome(run_monte_carlo, cfg, workers=1)
+    assert outcome(run_monte_carlo, cfg, workers=2) == expected
+    assert expected[1].startswith(error) if error else isinstance(expected, list)
 
 
 def test_default_config_output_is_pinned(tmp_path):
@@ -440,19 +487,85 @@ def test_largest_frame_csv_has_a_column_per_subset():
     assert sum(name.startswith("m_") for name in header) == 65535
 
 
+def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
+    # the two gates above, unedited, with every engine sum on the array path
+    monkeypatch.setattr(montecarlo, "_EXACT_SUM_MIN_ROWS", 1)
+    test_default_config_output_is_pinned(tmp_path)
+    test_batch_engine_matches_scalar_loop_bit_for_bit()
+
+
+# ---------------------------------------------------------------------------
+# _exact_sum against math.fsum
+# ---------------------------------------------------------------------------
+
+#: 0.9 and twice the double nearest 0.1 - 0.9 / 9 sum exactly to a tie: half
+#: way between two doubles, which fsum rounds to even.
+TIE = (0.9, 0.09999999999999998, 0.09999999999999998)
+
+SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-1022 - 2.0**-1074,
+                 2.0**-53, 2.0**-54, 1.0, -1.0, 0.1, 0.9, 1.0 - 2.0**-53, 1e308]
+
+terms = (
+    st.floats(-2.0, 2.0)
+    | st.floats(0.0, 1.0)
+    | st.sampled_from(SPECIAL_TERMS)
+    | st.integers(-(2**12), 2**12).map(lambda i: i * 2.0**-56)  # dyadic: exact ties
+    | st.floats(-1e-300, 1e-300)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def sum_rows(draw):
+    k = draw(st.integers(2, MAX_FRAME_SIZE + 3))  # the declared singleton sums M + 3 terms
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(terms, min_size=k, max_size=k))
+        if draw(st.booleans()):  # opposite-sign cancellation
+            row[k // 2:] = [-x for x in row[: k - k // 2]]
+        rows.append(row)
+    return rows
+
+
+def fsum_outcome(sums, rows):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.asarray(sums(np.array(rows))).tobytes()
+    except (OverflowError, ValueError) as exc:  # fsum's own non-finite errors
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=sum_rows(), n=st.sampled_from([1, -1, 0, 1000]))
+@example(rows=[TIE, (1.0, 2.0**-54, 2.0**-54), (1.0, 2.0**-54, -(2.0**-54), 2.0**-53)], n=0)
+@example(rows=[(1.0, 2.0**-53, 2.0**-100), (0.741945015713378, 0.2580549842866221, 1e-32)], n=0)  # near ties
+@example(rows=[(-0.0, -0.0, -0.0), (0.0, -0.0), (1.0, -1.0, 0.0), (5e-324, 5e-324, -5e-324)], n=0)
+@example(rows=[(float("inf"), 1.0), (float("nan"), 0.0, 1.0), (float("inf"), -float("inf"))], n=0)
+@example(rows=[(1e308, 1e308, -1e308)], n=0)
+@example(rows=[(0.0, 1e308, 1e308, -0.0, -1e308, -1e308, -1.0)], n=0)  # fsum overflows, the tree not
+def test_exact_sum_is_fsum_of_each_row(rows, n):
+    # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
+    n = {1: 1, -1: montecarlo._EXACT_SUM_MIN_ROWS - 1, 0: montecarlo._EXACT_SUM_MIN_ROWS}.get(n, n)
+    rows = [rows[i % len(rows)] for i in range(n)]
+    expected = fsum_outcome(lambda a: [math.fsum(row) for row in a.tolist()], rows)
+    assert fsum_outcome(montecarlo._exact_sum, rows) == expected
+
+
+def test_exact_sum_certifies_ties_when_the_error_sum_is_exact(monkeypatch):
+    # no tie row reaches fsum: every error the trees leave is exact
+    calls = []
+    monkeypatch.setattr(montecarlo, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    rows = np.array([TIE] * montecarlo._EXACT_SUM_MIN_ROWS)
+    assert montecarlo._exact_sum(rows).tolist() == [math.fsum(TIE)] * len(rows)
+    assert calls == []
+    exact, rounded = sum(map(Fraction, TIE)), Fraction(math.fsum(TIE))
+    assert abs(exact - rounded) == Fraction(float(np.spacing(math.fsum(TIE)))) / 2  # a tie
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_failure_in_a_later_block_is_reported_like_the_scalar_loop(workers):
-    # declaring Fighter (diagonal 0.5) on the first two scans makes the
-    # bounded t-norm vanish; with this seed that first happens in run 38
-    frame = default_frame()
-    cfg = MonteCarloConfig(
-        scenario=Scenario(frame, (("Cargo", 6),)),
-        confusion=ConfusionMatrix(frame, ((0.5, 0.5), (0.1, 0.9))),
-        rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX),
-               RuleConfig(Rule.DEMPSTER)),
-        runs=70,
-        master_seed=2,
-    )
+    cfg = first_failure_in_the_second_slab_config()
     expected = outcome(seed_montecarlo.run_monte_carlo, cfg)
     assert expected[1].startswith("run 38, rule tcn(bounded, max): scan 2: ")
     assert outcome(run_monte_carlo, cfg, workers=workers) == expected

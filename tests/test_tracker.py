@@ -1,5 +1,6 @@
 """Confusion matrices, observation construction, and sequential tracking."""
 
+import numpy as np
 import pytest
 
 from evidfuse import (
@@ -60,6 +61,19 @@ def test_confusion_matrix_rejects_nonstochastic_rows():
         ConfusionMatrix(FC_FRAME, ((0.9, 0.2), (0.1, 0.9)))
     with pytest.raises(EvidenceError):
         ConfusionMatrix(FC_FRAME, ((1.1, -0.1), (0.1, 0.9)))
+
+
+@pytest.mark.parametrize("rows", [((True, False), (False, True)), ((1.0, 0.0), ("0", "1")),
+                                  ((1.0, 0.0), (0.0, np.True_)), ((1.0, 0.0), (None, 1.0))])
+def test_confusion_matrix_rejects_entries_that_are_not_numbers(rows):
+    with pytest.raises(FrameError, match="has entry .*, not a number in \\[0, 1\\]"):
+        ConfusionMatrix(FC_FRAME, rows)
+
+
+def test_confusion_matrix_accepts_ints_and_numpy_reals():
+    cm = ConfusionMatrix(FC_FRAME, ((1, 0), (np.float32(0.5), np.float64(0.5))))
+    assert cm.rows == ((1.0, 0.0), (0.5, 0.5))
+    assert all(type(v) is float for row in cm.rows for v in row)
 
 
 def test_identity_confusion():
