@@ -159,7 +159,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except EvidenceError as exc:
         raise ConfigError(str(exc)) from exc
 
-    workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    workers = args.threads
+    if workers is None:  # the CPUs this process may run on, where the platform says
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if workers < 1:
         raise ConfigError("--threads: expected a positive integer, got %d" % workers)
 

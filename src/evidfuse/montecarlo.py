@@ -14,7 +14,7 @@ of compute, fixes every floating-point grouping, so the result is
 bit-identical however the blocks are computed and on how many processes.
 
 Slabs. One engine call, :func:`_run_block`, runs a slab: as many whole blocks
-as keep its ``(scans, lanes, M + 1)`` posterior store within
+as keep its ``(scans, rules, runs, M + 1)`` posterior store within
 :data:`_SLAB_BYTES` (8 MiB), worked out from the config as scans x rules x
 (M + 1) doubles per run, and at least one block. It returns one partial per
 block. The default config (100 scans, 6 rules, M = 2) gets 18 blocks, 576
@@ -26,21 +26,22 @@ slabs inline, and maps them over a process pool of at most ``workers``
 processes only when there are two or more slabs: a run count that fits one
 slab never forks.
 
-Batch engine. A slab tracks all of its (rule, run) pairs at once. Lane
-``j * R + r`` holds rule ``j`` on the slab's ``r``-th run, and one
-``(lanes, M + 1)`` array holds every lane's current assignment: column
-``i < M`` is the singleton of label ``i``, column ``M`` is the full set.
-These M + 1 columns are all a track ever reaches: the prior starts vacuous,
-an observation's focal sets are the declared singleton and the full set, a
-singleton or the full set meets either of them in a singleton, the full set
-or the empty set, and PCR5 and TCN send a conflict back only to the pair's
-own focal sets. So a scan is one closed-form update, a fixed sequence of
-numpy operations over all lanes. Lanes differ only in their rule's
-description, :attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the
-t-conorm (None: conflict is not redistributed) and the normalization floor,
-the same triple :func:`~evidfuse.rules.combine` runs on. Blocks return compact
-``(scans, rules, M + 1)`` sums, which are scattered into the dense per-subset
-means once, after the merge.
+Batch engine. A slab tracks every rule on every one of its runs at once, in
+``(rules, runs, M + 1)`` arrays: column ``i < M`` is the singleton of label
+``i``, column ``M`` is the full set. These M + 1 columns are all a track ever
+reaches: the prior starts vacuous, an observation's focal sets are the
+declared singleton and the full set, a singleton or the full set meets either
+of them in a singleton, the full set or the empty set, and PCR5 and TCN send a
+conflict back only to the pair's own focal sets. So a scan is one closed-form
+update, a fixed sequence of numpy operations. Declarations, their observation
+masses and the singletons that conflict with them are ``(scans, runs, ...)``,
+broadcast over the rules. Rules differ only in their description,
+:attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the t-conorm (None:
+conflict is not redistributed) and the normalization floor, the triple
+:func:`~evidfuse.rules.combine` runs on. Each t-norm and t-conorm runs on one
+slice ``rules[a:b]`` per maximal run of consecutive rules that share it; the
+normalizer on the rules with a floor. Blocks return compact ``(scans, rules,
+M + 1)`` sums, scattered into the dense per-subset means after the merge.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -51,28 +52,28 @@ conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
 correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
 The declared singleton gets 3 + (M - 1) terms, and the normalizer of
 Dempster and TCN sums M + 1 masses. Both go through :func:`_exact_sum`, which
-returns each lane's ``fsum`` bit for bit from error-free TwoSum trees and a
-certificate, and calls ``fsum`` for the lanes it cannot certify (about 1 % on
-the default config) and for slabs under :data:`_EXACT_SUM_MIN_ROWS` lanes. A
+returns each row's ``fsum`` bit for bit from error-free TwoSum trees and a
+certificate, and calls ``fsum`` for the rows it cannot certify (about 1 % on
+the default config) and for arrays under :data:`_EXACT_SUM_MIN_ROWS` rows. A
 pair the scalar kernel skips (t-norm 0) enters as an exact zero, which
 changes no sum.
 ``argmax`` (first maximum) reproduces the lowest-index tie break of
 :func:`~evidfuse.core.decide` under both criteria.
 
-Degenerate lanes: the scalar output audit (finite, nonnegative, total within
+Degenerate tracks: the scalar output audit (finite, nonnegative, total within
 :data:`~evidfuse.core.SUM_TOLERANCE` of 1) and the normalizer floor are
-checked for all lanes once per scan. A flagged lane is parked on the vacuous
-assignment and the slab carries on; at its end the lowest flagged run, then
-its first flagged rule in config order, is replayed through the scalar
-``run_track``, so the error raised is the scalar one, with its run, rule and
-scan context.
+checked for every (rule, run) once per scan. A flagged track is parked on the
+vacuous assignment and the slab carries on; at its end the lowest flagged
+run, then its first flagged rule in config order, is replayed through the
+scalar ``run_track``, so the error raised is the scalar one, with its run,
+rule and scan context.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from math import fsum
 
 import numpy as np
@@ -87,7 +88,7 @@ from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 #: Runs per accumulation block; fixed so results do not depend on worker count.
 CHUNK_RUNS = 32
 
-#: Bytes of posterior store, ``scans x lanes x (M + 1)`` doubles, that one
+#: Bytes of posterior store, ``scans x rules x runs x (M + 1)`` doubles, that one
 #: engine call (a slab of whole blocks) may hold. On the 10 000-run default
 #: config on one core (x86_64, numpy 2.4), 4 to 8 MiB ran fastest; 2, 16
 #: and 32 MiB were slower.
@@ -172,6 +173,11 @@ class MonteCarloConfig:
             raise ConfigError("master_seed must be an integer, got %r" % (self.master_seed,))
         if not self.rules:
             raise ConfigError("at least one rule configuration is required")
+        for i, rule_cfg in enumerate(self.rules):
+            first = self.rules.index(rule_cfg)
+            if first < i:
+                raise ConfigError("rules[%d]: rule %s is listed twice, first as rules[%d]"
+                                  % (i, rule_cfg.describe(), first))
 
     @property
     def frame(self) -> Frame:
@@ -221,23 +227,13 @@ def sample_decision(true_type: str, confusion: ConfusionMatrix, rng: SplitMix64)
     return confusion.frame.labels[len(row) - 1]  # guards fp residue in the row sum
 
 
-def _per_lane(table: dict, kinds: tuple, n_runs: int, ndim: int):
-    """Elementwise operator that applies ``table[kinds[j]]`` on the lanes of
-    rule j; operands have ``ndim`` dimensions, lanes first."""
-    distinct = list(dict.fromkeys(kinds))
-    first = table[distinct[0]]
-    rest = [
-        (table[kind], np.repeat([k == kind for k in kinds], n_runs).reshape((-1,) + (1,) * (ndim - 1)))
-        for kind in distinct[1:]
-    ]
-
-    def apply(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = first(x, y)
-        for func, lanes in rest:
-            out = np.where(lanes, func(x, y), out)
-        return out
-
-    return apply
+def _slices(table: dict, kinds: tuple) -> list[tuple[object, slice]]:
+    """``(table[kind], rules)`` for each maximal run ``rules`` of consecutive
+    rules that share a kind, skipping the kind None."""
+    groups = [(kind, len(list(group))) for kind, group in groupby(kinds)]
+    stops = accumulate(n for _, n in groups)
+    return [(table[kind], slice(stop - n, stop))
+            for (kind, n), stop in zip(groups, stops) if kind is not None]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,79 +317,78 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     m = frame.size
     truth = cfg.scenario.expand()
     n_scans, n_runs, n_rules = len(truth), stop - start, len(cfg.rules)
-    lanes = n_rules * n_runs
-    index = {label: i for i, label in enumerate(frame.labels)}
 
     runs = _declarations(cfg, start, stop)
-    declared = np.tile(runs.T, n_rules)
+    declared = runs.T[..., None]  # (scans, runs, 1)
     c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[declared]
-    obs = np.stack((c, 1.0 - c), axis=2)[..., None]  # (scans, lanes, 2, 1): mass on s, on the full set
+    obs = np.stack((c, 1.0 - c), axis=2)  # (scans, runs, 2, 1): mass on s, on the full set
+    conflicting = declared != np.arange(m)  # (scans, runs, M): the singletons other than s
 
     tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
-    tnorm = _per_lane(TNORM_ARRAYS, tnorms, n_runs, 3)
-    # a lane that keeps its conflict (no t-conorm) never reads the t-conorm
-    tconorm = _per_lane(TCONORM_ARRAYS, [TConorm.SUM if kind is None else kind for kind in tconorms], n_runs, 2)
-    redistributes = np.repeat([kind is not None for kind in tconorms], n_runs)
-    conflicting = (declared[..., None] != np.arange(m)) & redistributes[:, None]
-    normalized = np.flatnonzero(np.repeat([floor is not None for floor in floors], n_runs))
-    floors = np.repeat([floor for floor in floors if floor is not None], n_runs)
+    tnorm_slices = _slices(TNORM_ARRAYS, tnorms)
+    tconorm_slices = _slices(TCONORM_ARRAYS, tconorms)
+    normalized = np.flatnonzero([floor is not None for floor in floors])
+    floors = np.array([floors[j] for j in normalized])[:, None]
 
-    rows = np.arange(lanes)
-    truth_index = [index[t] for t in truth]
-    vacuous = np.zeros(m + 1)
-    vacuous[m] = 1.0
-    masses = np.empty((n_scans, lanes, m + 1))  # every lane's posterior at every scan
-    correct = np.empty((n_scans, lanes), dtype=bool)
-    failed = np.zeros(lanes, dtype=bool)
-    prior = np.tile(vacuous, (lanes, 1))
+    run = np.arange(n_runs)[:, None]
+    truth_index = [frame.index(label) for label in truth]
+    vacuous = np.eye(m + 1)[m]
+    t = np.empty((n_rules, n_runs, 2, m + 1))  # focal pairs with s (t[:, :, 0]) and the full set (t[:, :, 1])
+    # a rule with no t-conorm keeps its conflict: dividing by inf leaves its ratio 0
+    den = np.full((n_rules, n_runs, m), np.inf)
+    masses = np.empty((n_scans, n_rules, n_runs, m + 1))  # every posterior at every scan
+    correct = np.empty((n_scans, n_rules, n_runs), dtype=bool)
+    failed = np.zeros((n_rules, n_runs), dtype=bool)
+    prior = np.tile(vacuous, (n_rules, n_runs, 1))
     for k in range(n_scans):
         s = declared[k]
-        t = tnorm(prior[:, None, :], obs[k])  # focal pairs with s (t[:, 0]) and the full set (t[:, 1])
-        ratio = np.zeros((lanes, m))
-        np.divide(t[:, 0, :m], tconorm(prior[:, :m], obs[k, :, 0]), out=ratio,
-                  where=conflicting[k] & (t[:, 0, :m] != 0.0))
+        for tnorm, rules in tnorm_slices:
+            tnorm(prior[rules, :, None, :], obs[k], out=t[rules])
+        for tconorm, rules in tconorm_slices:
+            tconorm(prior[rules, :, :m], obs[k, :, 0], out=den[rules])
+        ratio = np.zeros((n_rules, n_runs, m))
+        np.divide(t[:, :, 0, :m], den, out=ratio, where=conflicting[k] & (t[:, :, 0, :m] != 0.0))
         post = masses[k]
-        post[...] = t[:, 1]
-        post[:, :m] += prior[:, :m] * ratio
-        terms = np.column_stack((obs[k, :, 0] * ratio, t[rows, 0, s], t[:, 0, m], t[rows, 1, s]))
-        post[rows, s] = _exact_sum(terms)
+        post[...] = t[:, :, 1]
+        post[..., :m] += prior[..., :m] * ratio
+        pairs = (obs[k, :, 0] * ratio, t[:, run, 0, s], t[:, :, 0, m:], t[:, run, 1, s])
+        terms = np.concatenate(pairs, axis=2)
+        post[:, run, s] = _exact_sum(terms.reshape(-1, m + 3)).reshape(n_rules, n_runs, 1)
 
-        totals = _exact_sum(post[normalized])
+        totals = _exact_sum(post[normalized].reshape(-1, m + 1)).reshape(-1, n_runs)
         degenerate = totals <= floors
-        post[normalized] /= np.where(degenerate, 1.0, totals)[:, None]
-        bad = ~((post >= 0.0).all(axis=1) & (np.abs(post.sum(axis=1) - 1.0) <= SUM_TOLERANCE))
+        post[normalized] /= np.where(degenerate, 1.0, totals)[..., None]
+        bad = ~((post >= 0.0).all(axis=2) & (np.abs(post.sum(axis=2) - 1.0) <= SUM_TOLERANCE))
         bad[normalized] |= degenerate
         if bad.any():
             failed |= bad
             post[bad] = vacuous
         prior = post
 
-        scores = post[:, :m]
+        scores = post[..., :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
-            scores = scores + post[:, m:] / m
-        correct[k] = scores.argmax(axis=1) == truth_index[k]
+            scores = scores + post[..., m:] / m
+        correct[k] = scores.argmax(axis=2) == truth_index[k]
 
     if failed.any():
-        _replay_first_failure(cfg, [[frame.labels[i] for i in run] for run in runs.tolist()], start, failed)
-    by_run = masses.reshape(n_scans, n_rules, n_runs, m + 1)
+        _replay_first_failure(cfg, runs, start, failed)
     blocks = range(0, n_runs, CHUNK_RUNS)
     mass_sums = np.zeros((n_scans, n_rules, len(blocks), m + 1))
     for r in range(min(CHUNK_RUNS, n_runs)):  # run r of every block: run order, as the scalar loop
-        nth = by_run[:, :, r::CHUNK_RUNS]
+        nth = masses[:, :, r::CHUNK_RUNS]
         mass_sums[:, :, :nth.shape[2]] += nth
-    counts = np.add.reduceat(correct.reshape(n_scans, n_rules, n_runs), blocks, axis=2, dtype=np.float64)
+    counts = np.add.reduceat(correct, blocks, axis=2, dtype=np.float64)
     return [(mass_sums[:, :, b], counts[:, :, b]) for b in range(len(blocks))]
 
 
-def _replay_first_failure(cfg: MonteCarloConfig, runs: list[list[str]], start: int,
-                          failed: np.ndarray) -> None:
+def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:
     """Raise the scalar tracker's error for the lowest failed run of a slab,
-    first failed rule in config order."""
-    n_runs = len(runs)
-    r, j = min((int(lane) % n_runs, int(lane) // n_runs) for lane in np.flatnonzero(failed))
+    first failed rule in config order; ``runs[r]`` are the label indices the
+    slab's run ``r`` declares, ``failed`` is ``(rules, runs)``."""
+    r, j = np.argwhere(failed.T)[0]
     rule_cfg = cfg.rules[j]
     try:
-        run_track(runs[r], cfg.confusion, rule_cfg, cfg.criterion)
+        run_track([cfg.frame.labels[i] for i in runs[r]], cfg.confusion, rule_cfg, cfg.criterion)
     except EvidenceError as exc:
         raise type(exc)("run %d, rule %s: %s" % (start + r, rule_cfg.describe(), exc)) from exc
     raise RuntimeError(

@@ -58,13 +58,13 @@ TCONORM_FUNCS = {
 }
 
 
-def _bounded_product_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, x + y - 1.0)
+def _bounded_product_array(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(0.0, x + y - 1.0, out=out)
 
 
 # Elementwise forms of the tables above for the batch simulation engine; each
 # performs the same IEEE operations as its scalar entry, so results match bit
-# for bit on finite inputs in [0, 1].
+# for bit on finite inputs in [0, 1], and takes the ufunc ``out`` argument.
 TNORM_ARRAYS = {
     TNorm.MIN: np.minimum,
     TNorm.PRODUCT: np.multiply,

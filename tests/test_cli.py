@@ -17,6 +17,7 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
+from evidfuse import cli
 from evidfuse.cli import main
 from evidfuse.fileio import track_records_to_csv
 
@@ -339,6 +340,19 @@ def test_simulate_invalid_config_exits_2(workdir, tmp_path, capsys):
     assert "rules[0].rule" in capsys.readouterr().err
 
 
+def test_simulate_duplicate_rule_exits_2(workdir, tmp_path, capsys):
+    # each rule's --plot-data file and CSV block would be written twice
+    bad = workdir / "bad.json"
+    config = json.loads((workdir / "sim.json").read_text(encoding="utf-8"))
+    config["rules"].append({"rule": " PCR5"})
+    bad.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["simulate", str(bad), "--plot-data", str(tmp_path / "plots"),
+                 "-o", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "rules[3]: rule pcr5 is listed twice, first as rules[1]" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("label", ["Car\ngo", "Cargo\r"])
 def test_simulate_label_with_line_break_exits_2(workdir, tmp_path, capsys, label):
     # such a label would break the CSV's "# columns:" comment line
@@ -350,6 +364,21 @@ def test_simulate_label_with_line_break_exits_2(workdir, tmp_path, capsys, label
     assert code == 2
     assert "frame[1]: label %r may not contain a line break" % label in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("has_affinity, expected", [(True, 1), (False, 3)])
+def test_simulate_defaults_to_the_cpus_it_may_run_on(workdir, tmp_path, monkeypatch, has_affinity, expected):
+    # pinned to one CPU of several, the default must not fork onto CPUs it cannot use
+    seen = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    if has_affinity:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    real = cli.run_monte_carlo
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg, workers: seen.append(workers) or real(cfg))
+    assert main(["simulate", path(workdir, "sim.json"), "-o", str(tmp_path / "x.csv")]) == 0
+    assert seen == [expected]
 
 
 def test_simulate_rejects_bad_thread_count(workdir, tmp_path, capsys):

@@ -428,7 +428,8 @@ def simulation_outputs(draw, m):
     cfg = MonteCarloConfig(
         scenario=Scenario(frame, tuple(segments)),
         confusion=uniform_diagonal_confusion(frame, 0.9),
-        rules=tuple(draw(st.lists(st.sampled_from(ALL_RULE_CONFIGS), min_size=1, max_size=4))),
+        rules=tuple(draw(st.lists(st.sampled_from(ALL_RULE_CONFIGS), min_size=1, max_size=4,
+                                  unique=True))),
         runs=1,
         master_seed=0,
     )

@@ -114,6 +114,12 @@ def test_config_validation():
     for seed in ("x", 2.5):
         with pytest.raises(ConfigError, match="master_seed must be an integer"):
             small_config(master_seed=seed)
+    pcr5, min_max = RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX)
+    with pytest.raises(ConfigError, match=r"^rules\[2\]: rule pcr5 is listed twice, first as rules\[0\]$"):
+        small_config(rules=[pcr5, min_max, pcr5])
+    with pytest.raises(ConfigError, match=r"^rules\[1\]: rule tcn\(min, max\) is listed twice"):
+        small_config(rules=[min_max, RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX)])
+    assert len(small_config(rules=[pcr5, RuleConfig(Rule.TCN, TNorm.PRODUCT, TConorm.SUM)]).rules) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +417,20 @@ def test_default_config_output_is_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_default_config_at_four_slabs_is_pinned(tmp_path, threads):
+    # 2000 runs are four 576-run slabs, so "2" maps them over the real pool, and
+    # the array sums meet rows they cannot certify; sha256 of the CSV written
+    # by the engine that kept one lane per (rule, run), before rules got an axis
+    out = tmp_path / "results.csv"
+    argv = ["simulate", str(CONFIG_DIR / "default.json"), "--runs", "2000",
+            "--threads", threads, "-o", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9e1b23dd882e379e55c3901ee5ddb6d498c537f8f4f933dc3ab225a879e85793"
+    )
+
+
 @pytest.mark.parametrize("scan", [0, -1, 101])
 def test_trace_mass_rejects_scans_outside_the_track(scan):
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
@@ -474,9 +494,32 @@ def largest_frame_config():
     )
 
 
+def slice_edge_config(rules):
+    """Three labels and a 40-run slab (two blocks) under a given rule order."""
+    frame = make_frame(["L0", "L1", "L2"])
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("L0", 5), ("L2", 4), ("L1", 3))),
+        confusion=uniform_diagonal_confusion(frame, 0.7),
+        rules=tuple(rules),
+        runs=40,
+        master_seed=8,
+    )
+
+
+#: ALL_RULES with the four product t-norm rules between the others: no two
+#: neighbours share a t-norm, so every t-norm slice holds one rule.
+PRODUCT_RULES = [rule for rule in ALL_RULES if rule.fusion[0] is TNorm.PRODUCT]
+OTHER_RULES = [rule for rule in ALL_RULES if rule.fusion[0] is not TNorm.PRODUCT]
+ALTERNATING_TNORMS = [rule for pair in zip(PRODUCT_RULES, OTHER_RULES) for rule in pair]
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=simulation_configs())
 @example(cfg=largest_frame_config())
+@example(cfg=slice_edge_config([RuleConfig(Rule.DEMPSTER)]))  # no t-conorm slice
+@example(cfg=slice_edge_config([RuleConfig(Rule.PCR5)]))  # no normalized rule
+@example(cfg=slice_edge_config(ALTERNATING_TNORMS))
+@example(cfg=slice_edge_config(sorted(ALL_RULES, key=lambda rule: rule.fusion[0].value)))  # a slice per kind
 def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
     assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
 
