@@ -41,7 +41,7 @@ from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
 from .tracker import ConfusionMatrix, TrackRecord
 
-_MASS_DIGITS = ".12g"
+_MASS_FIELD = "{:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def _subset_columns(frame: Frame) -> tuple[list[str], str]:
 
 
 def format_mass(value: float) -> str:
-    return format(value, _MASS_DIGITS)
+    return _MASS_FIELD.format(value)
 
 
 def _csv_cells(cells: Sequence[str]) -> str:
@@ -263,14 +263,14 @@ def _csv_cells(cells: Sequence[str]) -> str:
 
 
 def _mass_lines(heads: Sequence[str], rows: list[list[float]], live: list[int], width: int) -> list[str]:
-    """CSV lines: an encoded head, then ``width`` number cells, of which only the
-    ``live`` columns (their values in ``rows``) are formatted; the rest are
-    ``format_mass(0.0)``, joined once into the row template."""
+    """CSV lines: an encoded head, then ``width`` number cells. The ``live``
+    columns (their values in ``rows``) are :func:`format_mass` fields of the row
+    template that ``str.format`` fills; the rest are ``format_mass(0.0)``."""
     template = ["{}"] + [format_mass(0.0)] * width
     for i in live:
-        template[i + 1] = "{}"
+        template[i + 1] = _MASS_FIELD
     template = ",".join(template)
-    return [template.format(head, *map(format_mass, row)) for head, row in zip(heads, rows)]
+    return [template.format(head, *row) for head, row in zip(heads, rows)]
 
 
 def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
@@ -316,6 +316,6 @@ def trace_plot_data(trace: AveragedTrace) -> str:
     frame = trace.frame
     columns = [frame.singleton(label) - 1 for label in frame.labels]
     lines = ["# scan " + " ".join("m_" + sanitize_column(label) for label in frame.labels)]
-    for k, row in enumerate(trace.mean_masses[:, columns].tolist(), 1):
-        lines.append("%d %s" % (k, " ".join(map(format_mass, row))))
+    template = " ".join(["{}"] + [_MASS_FIELD] * len(columns))
+    lines += [template.format(k, *row) for k, row in enumerate(trace.mean_masses[:, columns].tolist(), 1)]
     return "\n".join(lines) + "\n"

@@ -60,13 +60,17 @@ changes no sum.
 ``argmax`` (first maximum) reproduces the lowest-index tie break of
 :func:`~evidfuse.core.decide` under both criteria.
 
-Degenerate tracks: the scalar output audit (finite, nonnegative, total within
-:data:`~evidfuse.core.SUM_TOLERANCE` of 1) and the normalizer floor are
-checked for every (rule, run) once per scan. A flagged track is parked on the
-vacuous assignment and the slab carries on; at its end the lowest flagged
-run, then its first flagged rule in config order, is replayed through the
-scalar ``run_track``, so the error raised is the scalar one, with its run,
-rule and scan context.
+Degenerate tracks: the scan loop keeps only the arithmetic the next scan
+reads. A (rule, run) whose total falls to or below its floor is flagged and
+parked on the vacuous assignment, as its masses could turn non-finite. After
+the loop, once per block, every stored posterior gets the scalar output audit
+(nonnegative, total within :data:`~evidfuse.core.SUM_TOLERANCE` of 1) and its
+decision. A track that fails only the audit stays finite (it divides only by a
+positive t-conorm, or by a total above its floor that bounds every entry) and
+fails the slab, so the flagged set is the one a per-scan audit gives. The
+lowest flagged run, then its first flagged rule in config order, is replayed
+through the scalar ``run_track``, so the error raised is the scalar one, with
+its run, rule and scan context.
 """
 
 from __future__ import annotations
@@ -199,8 +203,8 @@ class AveragedTrace:
     correct_rate: np.ndarray
 
     def mass(self, scan: int, key: object) -> float:
-        """Mean mass of a focal set at a 1-based scan index."""
-        if not 1 <= scan <= len(self.truth):
+        """Mean mass of a focal set at a 1-based scan index, an ``int``."""
+        if not _is_integer(scan) or not 1 <= scan <= len(self.truth):
             raise FrameError("scan %r is outside 1..%d" % (scan, len(self.truth)))
         bits = _coerce_subset(self.frame, key)
         if bits == 0:
@@ -331,13 +335,12 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     floors = np.array([floors[j] for j in normalized])[:, None]
 
     run = np.arange(n_runs)[:, None]
-    truth_index = [frame.index(label) for label in truth]
+    truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
     vacuous = np.eye(m + 1)[m]
     t = np.empty((n_rules, n_runs, 2, m + 1))  # focal pairs with s (t[:, :, 0]) and the full set (t[:, :, 1])
     # a rule with no t-conorm keeps its conflict: dividing by inf leaves its ratio 0
     den = np.full((n_rules, n_runs, m), np.inf)
     masses = np.empty((n_scans, n_rules, n_runs, m + 1))  # every posterior at every scan
-    correct = np.empty((n_scans, n_rules, n_runs), dtype=bool)
     failed = np.zeros((n_rules, n_runs), dtype=bool)
     prior = np.tile(vacuous, (n_rules, n_runs, 1))
     for k in range(n_scans):
@@ -357,27 +360,30 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
 
         totals = _exact_sum(post[normalized].reshape(-1, m + 1)).reshape(-1, n_runs)
         degenerate = totals <= floors
-        post[normalized] /= np.where(degenerate, 1.0, totals)[..., None]
-        bad = ~((post >= 0.0).all(axis=2) & (np.abs(post.sum(axis=2) - 1.0) <= SUM_TOLERANCE))
-        bad[normalized] |= degenerate
-        if bad.any():
-            failed |= bad
-            post[bad] = vacuous
+        if degenerate.any():  # its total may be 0: park the lane on the vacuous assignment
+            rows, lanes = degenerate.nonzero()
+            failed[normalized[rows], lanes] = True
+            post[normalized[rows], lanes] = vacuous
+            totals[degenerate] = 1.0
+        post[normalized] /= totals[..., None]
         prior = post
 
-        scores = post[..., :m]
+    blocks = range(0, n_runs, CHUNK_RUNS)
+    counts = np.empty((n_scans, n_rules, len(blocks)))
+    for i, b in enumerate(blocks):  # the output audit and the decisions, on every stored posterior
+        block = masses[:, :, b:b + CHUNK_RUNS]
+        sound = (block >= 0.0).all(axis=3) & (np.abs(block.sum(axis=3) - 1.0) <= SUM_TOLERANCE)
+        failed[:, b:b + CHUNK_RUNS] |= ~sound.all(axis=0)
+        scores = block[..., :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
-            scores = scores + post[..., m:] / m
-        correct[k] = scores.argmax(axis=2) == truth_index[k]
-
+            scores = scores + block[..., m:] / m
+        counts[:, :, i] = (scores.argmax(axis=3) == truth_index).sum(axis=2)
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed)
-    blocks = range(0, n_runs, CHUNK_RUNS)
     mass_sums = np.zeros((n_scans, n_rules, len(blocks), m + 1))
     for r in range(min(CHUNK_RUNS, n_runs)):  # run r of every block: run order, as the scalar loop
         nth = masses[:, :, r::CHUNK_RUNS]
         mass_sums[:, :, :nth.shape[2]] += nth
-    counts = np.add.reduceat(correct, blocks, axis=2, dtype=np.float64)
     return [(mass_sums[:, :, b], counts[:, :, b]) for b in range(len(blocks))]
 
 
@@ -422,20 +428,10 @@ def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTra
         mass_total += mass_sums
         correct_total += correct
     columns = [frame.singleton(label) - 1 for label in frame.labels] + [frame.full_set - 1]
-    traces = []
-    for j, rule_cfg in enumerate(cfg.rules):
-        mean_masses = np.zeros((n_scans, frame.full_set))
-        mean_masses[:, columns] = mass_total[:, j] / cfg.runs
-        traces.append(
-            AveragedTrace(
-                rule=rule_cfg,
-                frame=frame,
-                truth=truth,
-                mean_masses=mean_masses,
-                correct_rate=correct_total[:, j] / cfg.runs,
-            )
-        )
-    return traces
+    mean_masses = np.zeros((len(cfg.rules), n_scans, frame.full_set))
+    mean_masses[..., columns] = mass_total.transpose(1, 0, 2) / cfg.runs
+    return [AveragedTrace(rule_cfg, frame, truth, mean_masses[j], correct_total[:, j] / cfg.runs)
+            for j, rule_cfg in enumerate(cfg.rules)]
 
 
 @dataclass(frozen=True)

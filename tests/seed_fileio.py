@@ -1,11 +1,13 @@
-"""The CSV writers exactly as they were before the sparse row encoder.
+"""The CSV and plot-data writers exactly as they were before the row templates.
 
 Verbatim copies of ``_subset_columns``, ``traces_to_csv`` and
 ``track_records_to_csv`` from ``evidfuse.fileio``: every cell of every row
 formatted and handed to the stdlib csv writer, each subset spelled twice with
-``Frame.format_subset``. The byte-identity tests in ``test_fileio.py``
-compare the package's writers against these, so the encoder is checked
-against the original output and not against itself.
+``Frame.format_subset``; and of ``trace_plot_data`` as it was before its lines
+were a template, each mass formatted with ``format_mass`` and joined by hand.
+The byte-identity tests in ``test_fileio.py`` compare the package's writers
+against these, so the encoder is checked against the original output and not
+against itself.
 """
 
 from __future__ import annotations
@@ -67,3 +69,13 @@ def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str
             row.append(format_mass(rates[k]))
             writer.writerow(row)
     return out.getvalue()
+
+
+def trace_plot_data(trace: AveragedTrace) -> str:
+    """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
+    frame = trace.frame
+    columns = [frame.singleton(label) - 1 for label in frame.labels]
+    lines = ["# scan " + " ".join("m_" + sanitize_column(label) for label in frame.labels)]
+    for k, row in enumerate(trace.mean_masses[:, columns].tolist(), 1):
+        lines.append("%d %s" % (k, " ".join(map(format_mass, row))))
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -17,9 +18,9 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
-from evidfuse import cli
+from evidfuse import cli, montecarlo
 from evidfuse.cli import main
-from evidfuse.fileio import track_records_to_csv
+from evidfuse.fileio import load_simulation_config, track_records_to_csv
 
 from conftest import FC_FRAME
 
@@ -264,13 +265,27 @@ def test_simulate_repeats_are_byte_identical(workdir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_thread_count_does_not_change_output(workdir, tmp_path):
+def test_simulate_thread_count_does_not_change_output(workdir, tmp_path, monkeypatch):
+    # one 32-run block per slab: the fixture's 64 runs are two slabs, so
+    # "--threads 4" maps them over a real pool of two processes
+    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)
+    cfg = load_simulation_config(path(workdir, "sim.json"))
+    assert len(range(0, cfg.runs, montecarlo._slab_runs(cfg))) == 2  # slab starts
+    started = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / ("t%s.csv" % threads)
         assert main(["simulate", path(workdir, "sim.json"),
                      "--threads", threads, "-o", str(out)]) == 0
         outputs.append(out.read_bytes())
+    assert started == [2]
     assert outputs[0] == outputs[1]
 
 

@@ -517,6 +517,18 @@ def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():
     assert text == seed_fileio.traces_to_csv(cfg, traces)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(2, 8))
+def test_plot_data_matches_the_per_cell_writer_byte_for_byte(data, m):
+    cfg, traces = data.draw(simulation_outputs(m))
+    trace = traces[0]
+    # any double may reach a singleton column here: NaN, infinities, -0.0, subnormals
+    singleton = trace.frame.singleton(data.draw(st.sampled_from(trace.frame.labels))) - 1
+    trace.mean_masses[:, singleton] = data.draw(st.lists(st.floats(), min_size=len(trace.truth),
+                                                         max_size=len(trace.truth)))
+    assert trace_plot_data(trace) == seed_fileio.trace_plot_data(trace)
+
+
 def test_plot_data_reads_the_singleton_columns():
     frame = make_frame(["A", "B", "C"])
     masses = np.arange(1.0, 15.0).reshape(2, 7) / 16.0

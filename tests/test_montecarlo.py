@@ -431,8 +431,9 @@ def test_default_config_at_four_slabs_is_pinned(tmp_path, threads):
     )
 
 
-@pytest.mark.parametrize("scan", [0, -1, 101])
+@pytest.mark.parametrize("scan", [0, -1, 101, True, 1.5])
 def test_trace_mass_rejects_scans_outside_the_track(scan):
+    # True would index scan 1 and 1.5 would reach numpy as a float index
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
     with pytest.raises(FrameError, match="outside 1..100"):
         trace.mass(scan, "Fighter")
@@ -630,6 +631,18 @@ def test_vanishing_tcn_consensus_names_run_rule_and_scan():
     with pytest.raises(VanishingConsensusError, match=r"^run 0, rule tcn\(bounded, max\): scan 2: "):
         run_monte_carlo(cfg)
     assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
+
+
+def test_lane_that_fails_only_the_output_audit_is_an_internal_error(monkeypatch):
+    # no lane reaches its floor, but every posterior fails a negative tolerance;
+    # the scalar tracker reads core's own tolerance and accepts run 0
+    monkeypatch.setattr(montecarlo, "SUM_TOLERANCE", -1.0)
+    with pytest.raises(RuntimeError, match=r"^internal error: the batch engine flagged run 0, rule dempster, "):
+        run_monte_carlo(default_config(runs=40))
+    flagged = []
+    monkeypatch.setattr(montecarlo, "_replay_first_failure", lambda *args: flagged.append(args[3]))
+    montecarlo._run_block(default_config(runs=40), 0, 40)
+    assert flagged[0].shape == (6, 40) and flagged[0].all()  # every rule and run, in both blocks
 
 
 def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatch):
