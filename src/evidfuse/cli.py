@@ -151,13 +151,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_simulation_config(args.config)
-    try:
-        if args.runs is not None:
-            cfg = replace(cfg, runs=args.runs)
-        if args.seed is not None:
-            cfg = replace(cfg, master_seed=args.seed)
-    except EvidenceError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.runs is not None:
+        cfg = replace(cfg, runs=args.runs)
+    if args.seed is not None:
+        cfg = replace(cfg, master_seed=args.seed)
 
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says

@@ -106,9 +106,7 @@ def mass_function_to_json(m: MassFunction) -> dict:
     }
 
 
-def confusion_rows_from_json(frame: Frame, data: object, path: str) -> ConfusionMatrix:
-    if not isinstance(data, list):
-        raise ConfigError("%s: expected a list of rows" % path)
+def confusion_rows_from_json(frame: Frame, data: list, path: str) -> ConfusionMatrix:
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise ConfigError("%s[%d]: expected a list of numbers" % (path, i))
@@ -165,17 +163,14 @@ def simulation_config_from_json(data: object) -> MonteCarloConfig:
     rules = tuple(rule_config_from_json(item, "rules[%d]" % i) for i, item in enumerate(raw_rules))
     criterion = (_spelling(data, "criterion", DecisionCriterion) if "criterion" in data
                  else DecisionCriterion.MAX_BELIEF)
-    try:
-        return MonteCarloConfig(
-            scenario=scenario,
-            confusion=confusion,
-            rules=rules,
-            runs=_require(data, "runs"),
-            master_seed=_require(data, "master_seed"),
-            criterion=criterion,
-        )
-    except EvidenceError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MonteCarloConfig(
+        scenario=scenario,
+        confusion=confusion,
+        rules=rules,
+        runs=_require(data, "runs"),
+        master_seed=_require(data, "master_seed"),
+        criterion=criterion,
+    )
 
 
 def load_simulation_config(path: str) -> MonteCarloConfig:

@@ -39,9 +39,10 @@ broadcast over the rules. Rules differ only in their description,
 :attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the t-conorm (None:
 conflict is not redistributed) and the normalization floor, the triple
 :func:`~evidfuse.rules.combine` runs on. Each t-norm and t-conorm runs on one
-slice ``rules[a:b]`` per maximal run of consecutive rules that share it; the
-normalizer on the rules with a floor. Blocks return compact ``(scans, rules,
-M + 1)`` sums, scattered into the dense per-subset means after the merge.
+slice ``rules[a:b]`` per maximal run of consecutive rules that share it. Every
+rule is normalized: a rule with no floor divides by exactly 1.0, as a rule with
+no t-conorm divides by ``inf``. Blocks return compact ``(scans, rules, M + 1)``
+sums, scattered into the dense per-subset means after the merge.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -123,14 +124,17 @@ class Scenario:
     segments: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        segments = tuple((label, duration) for label, duration in self.segments)
-        object.__setattr__(self, "segments", segments)
+        segments = tuple(self.segments)
         if not segments:
             raise FrameError("scenario needs at least one segment")
-        for label, duration in segments:
+        for i, segment in enumerate(segments):
+            if not isinstance(segment, (tuple, list)) or len(segment) != 2:
+                raise FrameError("segments[%d]: expected a (label, duration) pair, got %r" % (i, segment))
+            label, duration = segment
             self.frame.index(label)  # raises on unknown labels
             if not _is_integer(duration) or duration < 1:
                 raise FrameError("segment (%r, %r): duration must be a positive integer" % (label, duration))
+        object.__setattr__(self, "segments", tuple(map(tuple, segments)))
 
     @property
     def total_scans(self) -> int:
@@ -175,9 +179,13 @@ class MonteCarloConfig:
             raise ConfigError("runs must be a positive integer, got %r" % (self.runs,))
         if not _is_integer(self.master_seed):
             raise ConfigError("master_seed must be an integer, got %r" % (self.master_seed,))
+        if not isinstance(self.criterion, DecisionCriterion):
+            raise ConfigError("criterion must be a DecisionCriterion, got %r" % (self.criterion,))
         if not self.rules:
             raise ConfigError("at least one rule configuration is required")
         for i, rule_cfg in enumerate(self.rules):
+            if not isinstance(rule_cfg, RuleConfig):
+                raise ConfigError("rules[%d]: expected a RuleConfig, got %r" % (i, rule_cfg))
             first = self.rules.index(rule_cfg)
             if first < i:
                 raise ConfigError("rules[%d]: rule %s is listed twice, first as rules[%d]"
@@ -331,8 +339,9 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
     tnorm_slices = _slices(TNORM_ARRAYS, tnorms)
     tconorm_slices = _slices(TCONORM_ARRAYS, tconorms)
-    normalized = np.flatnonzero([floor is not None for floor in floors])
-    floors = np.array([floors[j] for j in normalized])[:, None]
+    # a rule with no floor divides by exactly 1.0 and never parks: its floor is -inf
+    kept = np.array([floor is None for floor in floors])
+    floors = np.array([-np.inf if floor is None else floor for floor in floors])[:, None]
 
     run = np.arange(n_runs)[:, None]
     truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
@@ -358,14 +367,14 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
         terms = np.concatenate(pairs, axis=2)
         post[:, run, s] = _exact_sum(terms.reshape(-1, m + 3)).reshape(n_rules, n_runs, 1)
 
-        totals = _exact_sum(post[normalized].reshape(-1, m + 1)).reshape(-1, n_runs)
+        totals = _exact_sum(post.reshape(-1, m + 1)).reshape(n_rules, n_runs)
+        totals[kept] = 1.0
         degenerate = totals <= floors
         if degenerate.any():  # its total may be 0: park the lane on the vacuous assignment
-            rows, lanes = degenerate.nonzero()
-            failed[normalized[rows], lanes] = True
-            post[normalized[rows], lanes] = vacuous
+            failed |= degenerate
+            post[degenerate] = vacuous
             totals[degenerate] = 1.0
-        post[normalized] /= totals[..., None]
+        post /= totals[..., None]
         prior = post
 
     blocks = range(0, n_runs, CHUNK_RUNS)

@@ -30,10 +30,7 @@ _U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def mix64(value: int) -> int:
-    """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value;
-    elementwise on an ``np.uint64`` array."""
-    if isinstance(value, np.ndarray):
-        return _mix64_array(value)
+    """splitmix64 finalizer: xor-shift/multiply avalanche of a 64-bit value."""
     z = value & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_MULT_1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MULT_2) & _MASK64
@@ -50,20 +47,17 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Per-run seed: avalanche of master_seed offset by run_index gammas.
 
     Deterministic, and distinct run indices give distinct seeds in practice
-    (the mix is a bijection of the 64-bit offsets). Also elementwise over an
-    ``np.uint64`` array of run indices.
+    (the mix is a bijection of the 64-bit offsets).
     """
-    if isinstance(run_index, np.ndarray):
-        offsets = run_index.astype(np.uint64, copy=False) * _GAMMA_U64
-        return _mix64_array(np.uint64(master_seed & _MASK64) + offsets)
     return mix64((master_seed + run_index * GOLDEN_GAMMA) & _MASK64)
 
 
 def run_floats(master_seed: int, start: int, stop: int, draws: int) -> np.ndarray:
     """``[r, k]`` is draw ``k + 1`` of ``SplitMix64(derive_run_seed(master_seed,
-    start + r)).next_float()``: draw k of a stream seeded s is
-    ``mix64(s + k * GOLDEN_GAMMA)``, so every draw is one array mix."""
-    seeds = derive_run_seed(master_seed, np.arange(start, stop, dtype=np.uint64))
+    start + r)).next_float()``: run i's seed is ``mix64(master_seed + i * GOLDEN_GAMMA)``
+    and draw k of a stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``: two array mixes."""
+    offsets = np.arange(start, stop, dtype=np.uint64) * _GAMMA_U64
+    seeds = _mix64_array(np.uint64(master_seed & _MASK64) + offsets)
     steps = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA_U64
     bits = _mix64_array(seeds[:, None] + steps) >> _U11
     return bits.astype(np.float64) * 2.0**-53

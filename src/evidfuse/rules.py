@@ -62,6 +62,10 @@ class RuleConfig:
     tconorm: TConorm | None = None
 
     def __post_init__(self) -> None:
+        for field, kind in (("rule", Rule), ("tnorm", TNorm), ("tconorm", TConorm)):
+            value = getattr(self, field)  # only the operators may be None
+            if not isinstance(value, kind) and (kind is Rule or value is not None):
+                raise ConfigError("%s must be a %s, got %r" % (field, kind.__name__, value))
         if self.rule is Rule.TCN:
             if self.tnorm is None or self.tconorm is None:
                 raise ConfigError("rule tcn needs both tnorm and tconorm")
@@ -82,9 +86,7 @@ class RuleConfig:
             return TNorm.PRODUCT, None, TOTAL_CONFLICT_MARGIN
         if self.rule is Rule.PCR5:
             return TNorm.PRODUCT, TConorm.SUM, None
-        if self.rule is Rule.TCN:
-            return self.tnorm, self.tconorm, 0.0
-        raise ValueError("unknown rule %r" % (self.rule,))
+        return self.tnorm, self.tconorm, 0.0
 
 
 def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -410,6 +410,29 @@ def test_simulate_rejects_bad_runs_override(workdir, tmp_path, capsys):
     assert "runs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    ("fuse", {"frame": "Fighter", "masses": {"Fighter": 1.0}}, "frame: expected list, got 'Fighter'"),
+    ("fuse", [], "mass function: expected a JSON object"),
+    ("track", [], "confusion file: expected a JSON object"),
+    ("simulate", [], "config file: expected a JSON object"),
+    ("simulate", {"rules": ["pcr5"]}, 'rules[0]: expected an object like {"rule": "pcr5"}'),
+    ("simulate", {"confusion": "x"}, "confusion: expected list, got 'x'"),
+])
+def test_input_of_the_wrong_shape_exits_2(workdir, tmp_path, capsys, command, data, message):
+    bad = workdir / "bad.json"
+    if command == "simulate" and isinstance(data, dict):  # one field of a valid config replaced
+        data = {**json.loads((workdir / "sim.json").read_text(encoding="utf-8")), **data}
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    out = str(tmp_path / "x.csv")
+    argv = {
+        "fuse": ["fuse", str(bad), path(workdir, "m1.json"), "--rule", "pcr5"],
+        "track": ["track", path(workdir, "decls.txt"), "--confusion", str(bad), "--rule", "pcr5", "-o", out],
+        "simulate": ["simulate", str(bad), "-o", out],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import re
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from evidfuse import (
     DecisionCriterion,
     EvidenceError,
     FrameError,
+    MassFunctionError,
     MAX_FRAME_SIZE,
     MonteCarloConfig,
     Rule,
@@ -43,7 +46,7 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
-from evidfuse import montecarlo
+from evidfuse import core, montecarlo
 from evidfuse.cli import main
 from evidfuse.fileio import traces_to_csv
 
@@ -99,6 +102,9 @@ def test_scenario_rejects_bad_segments():
     for duration in (2.5, True):
         with pytest.raises(FrameError, match="duration must be a positive integer"):
             Scenario(FC_FRAME, (("Cargo", duration),))
+    for segment in (("Cargo",), ("Cargo", 3, 4), "Cargo", "C3", 5):
+        with pytest.raises(FrameError, match=r"^segments\[1\]: expected a \(label, duration\) pair, got "):
+            Scenario(FC_FRAME, (("Fighter", 2), segment))
 
 
 def test_config_validation():
@@ -120,6 +126,11 @@ def test_config_validation():
     with pytest.raises(ConfigError, match=r"^rules\[1\]: rule tcn\(min, max\) is listed twice"):
         small_config(rules=[min_max, RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX)])
     assert len(small_config(rules=[pcr5, RuleConfig(Rule.TCN, TNorm.PRODUCT, TConorm.SUM)]).rules) == 2
+    # a criterion or rule of another type would decide by max belief, or fail mid-run
+    with pytest.raises(ConfigError, match=r"^criterion must be a DecisionCriterion, got 'pignistic'$"):
+        replace(small_config(), criterion="pignistic")
+    with pytest.raises(ConfigError, match=r"^rules\[1\]: expected a RuleConfig, got 'pcr5'$"):
+        small_config(rules=[min_max, "pcr5"])
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +654,23 @@ def test_lane_that_fails_only_the_output_audit_is_an_internal_error(monkeypatch)
     monkeypatch.setattr(montecarlo, "_replay_first_failure", lambda *args: flagged.append(args[3]))
     montecarlo._run_block(default_config(runs=40), 0, 40)
     assert flagged[0].shape == (6, 40) and flagged[0].all()  # every rule and run, in both blocks
+
+
+#: What the scalar replay raises when every posterior fails a negative tolerance.
+AUDIT_FAILURE = "run 0, rule dempster: scan 1: dempster_combine: output masses sum to 1, not 1"
+
+
+def test_lane_that_fails_the_output_audit_raises_the_scalar_error(monkeypatch, tmp_path, capsys):
+    # the engine and the scalar tracker both read a negative tolerance
+    monkeypatch.setattr(core, "SUM_TOLERANCE", -1.0)
+    monkeypatch.setattr(montecarlo, "SUM_TOLERANCE", -1.0)
+    with pytest.raises(MassFunctionError, match="^%s$" % re.escape(AUDIT_FAILURE)):
+        run_monte_carlo(default_config(runs=40))
+    out = tmp_path / "x.csv"
+    code = main(["simulate", str(CONFIG_DIR / "default.json"), "--runs", "40", "--threads", "1", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: %s\n" % AUDIT_FAILURE
+    assert not out.exists()
 
 
 def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatch):

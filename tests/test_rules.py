@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidfuse import (
+    ConfigError,
     EvidenceError,
     Frame,
     Rule,
@@ -136,6 +137,17 @@ def test_rule_config_rejects_operators_elsewhere():
         RuleConfig(Rule.PCR5, tnorm=TNorm.MIN)
     with pytest.raises(ValueError):
         RuleConfig(Rule.DEMPSTER, tconorm=TConorm.MAX)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("pcr5",), r"^rule must be a Rule, got 'pcr5'$"),
+    ((Rule.TCN, "min", "max"), r"^tnorm must be a TNorm, got 'min'$"),
+    ((Rule.TCN, TNorm.MIN, "max"), r"^tconorm must be a TConorm, got 'max'$"),
+], ids=["rule", "tnorm", "tconorm"])
+def test_rule_config_rejects_members_of_other_types(args, message):
+    # the field name leads, as the CLI and the config loader relabel it
+    with pytest.raises(ConfigError, match=message):
+        RuleConfig(*args)
 
 
 def test_rule_config_describe():
