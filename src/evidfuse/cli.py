@@ -32,6 +32,7 @@ from .errors import (
     VanishingConsensusError,
 )
 from .fileio import (
+    _csv_cells,
     format_mass,
     load_confusion,
     load_declarations,
@@ -108,25 +109,25 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     m1 = load_mass_function(args.first)
     m2 = load_mass_function(args.second)
     fused = combine(cfg, m1, m2)
+    report = _fusion_report(cfg, m1, m2, fused) if args.report else None
 
     if args.format == "json":
         payload = mass_function_to_json(fused)
-        if args.report:
-            payload["report"] = _fusion_report(cfg, m1, m2, fused)
+        if report:
+            payload["report"] = report
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
 
     lines = []
-    if args.report:
-        report = _fusion_report(cfg, m1, m2, fused)
+    if report:
         lines.append("# rule: %s" % report["rule"])
         lines.append("# total_conflict: %s" % format_mass(report["total_conflict"]))
         for subset, delta in report["redistributed"].items():
             lines.append("# redistributed %s: %s" % (subset, format_mass(delta)))
     lines.append("subset,mass")
     for bits in sorted(fused.masses):
-        lines.append("%s,%s" % (fused.frame.format_subset(bits), format_mass(fused.masses[bits])))
+        lines.append(_csv_cells([fused.frame.format_subset(bits), format_mass(fused.masses[bits])]))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

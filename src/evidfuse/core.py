@@ -42,14 +42,17 @@ class Frame:
 
     The label order is significant: label ``i`` owns bit ``i`` in every
     focal-set bitmask built over this frame. Labels are distinct, non-empty
-    strings with neither ``|`` nor a line break. This is the only check of
-    them; its messages name the field ``frame`` (or ``frame[i]``), the key
-    that holds the labels in every input file, so loaders pass them on.
+    strings with neither ``|`` nor a line break, in a sequence that is not a
+    ``str``. This is the only check of them; its messages name the field
+    ``frame`` (or ``frame[i]``), the key that holds the labels in every input
+    file, so loaders pass them on.
     """
 
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str) or not isinstance(self.labels, Iterable):
+            raise FrameError("frame: expected a sequence of labels, got %r" % (self.labels,))
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) < 2:
             raise FrameError("frame needs at least 2 labels, got %d" % len(self.labels))
@@ -134,7 +137,7 @@ class Frame:
 
 def make_frame(labels: Iterable[str]) -> Frame:
     """Build a frame from an ordered sequence of distinct labels (2 <= M <= 16)."""
-    return Frame(tuple(labels))
+    return Frame(labels)
 
 
 def cardinality(bits: int) -> int:

@@ -8,11 +8,11 @@ JSON inputs
                         "rules": [{"rule": "tcn", "tnorm": "min",
                         "tconorm": "max"}, ...], "criterion": "belief"}
 
-Subset keys spell the included labels joined by "|" in frame order. This
-module checks only the JSON shape (a field is present, a list or a string);
-every rule about a value belongs to the type that holds it, and its error is
-passed on with the field path. Rule, operator and criterion names ignore case
-and surrounding spaces.
+Subset keys spell the included labels joined by "|" in frame order. Loaders
+check only the JSON containers (a field is present, an object, a list or a
+string); every rule about a value belongs to the type that holds it, and its
+error is passed on through one re-wrap that leads with the field path. Rule,
+operator and criterion names ignore case and surrounding spaces.
 
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
-from .errors import ConfigError, EvidenceError, FrameError
+from .errors import ConfigError, EvidenceError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
 from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
@@ -75,24 +75,24 @@ def _spelling(data: dict, key: str, kind: type[enum.Enum], path: str = "") -> en
         ) from None
 
 
-def frame_from_json(data: dict) -> Frame:
-    """The ``frame`` field of a mass, confusion or config object. Frame's
-    messages already name the field, so they pass on unchanged."""
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a value type's constructor, with its
+    EvidenceError re-raised as a ConfigError led by ``path`` (if any)."""
     try:
-        return make_frame(_require(data, "frame", list))
-    except FrameError as exc:
-        raise ConfigError(str(exc)) from exc
+        return build(*args, **kwargs)
+    except EvidenceError as exc:
+        raise ConfigError("%s: %s" % (path, exc) if path else str(exc)) from exc
+
+
+def frame_from_json(data: dict) -> Frame:
+    """The ``frame`` field of an input object; Frame's messages name it."""
+    return _checked("", make_frame, _require(data, "frame", list))
 
 
 def mass_function_from_json(data: object) -> MassFunction:
     if not isinstance(data, dict):
         raise ConfigError("mass function: expected a JSON object")
-    frame = frame_from_json(data)
-    raw = _require(data, "masses", dict)
-    try:
-        return make_bba(frame, raw)
-    except EvidenceError as exc:
-        raise ConfigError("masses: %s" % exc) from exc
+    return _checked("masses", make_bba, frame_from_json(data), _require(data, "masses", dict))
 
 
 def load_mass_function(path: str) -> MassFunction:
@@ -110,10 +110,7 @@ def confusion_rows_from_json(frame: Frame, data: list, path: str) -> ConfusionMa
     for i, row in enumerate(data):
         if not isinstance(row, list):
             raise ConfigError("%s[%d]: expected a list of numbers" % (path, i))
-    try:
-        return ConfusionMatrix(frame, tuple(data))
-    except EvidenceError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from exc
+    return _checked(path, ConfusionMatrix, frame, tuple(data))
 
 
 def load_confusion(path: str) -> ConfusionMatrix:
@@ -129,10 +126,7 @@ def rule_config_from_json(data: object, path: str) -> RuleConfig:
     rule = _spelling(data, "rule", Rule, path)
     operators = {key: _spelling(data, key, kind, path)
                  for key, kind in (("tnorm", TNorm), ("tconorm", TConorm)) if key in data}
-    try:
-        return RuleConfig(rule, **operators)
-    except ConfigError as exc:
-        raise ConfigError("%s: %s" % (path, exc)) from None
+    return _checked(path, RuleConfig, rule, **operators)
 
 
 def rule_config_to_json(cfg: RuleConfig) -> dict:
@@ -148,17 +142,7 @@ def simulation_config_from_json(data: object) -> MonteCarloConfig:
         raise ConfigError("config file: expected a JSON object")
     frame = frame_from_json(data)
     confusion = confusion_rows_from_json(frame, _require(data, "confusion", list), "confusion")
-
-    segments = []
-    for i, item in enumerate(_require(data, "segments", list)):
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str):
-            raise ConfigError("segments[%d]: expected [\"label\", scans]" % i)
-        segments.append(tuple(item))
-    try:
-        scenario = Scenario(frame, tuple(segments))
-    except EvidenceError as exc:
-        raise ConfigError("segments: %s" % exc) from exc
-
+    scenario = _checked("", Scenario, frame, tuple(_require(data, "segments", list)))
     raw_rules = _require(data, "rules", list)
     rules = tuple(rule_config_from_json(item, "rules[%d]" % i) for i, item in enumerate(raw_rules))
     criterion = (_spelling(data, "criterion", DecisionCriterion) if "criterion" in data

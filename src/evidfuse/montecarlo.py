@@ -118,22 +118,27 @@ def _is_integer(value: object) -> bool:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Ground truth as (type label, duration in scans) segments."""
+    """Ground truth as (type label, duration in scans) segments. Messages lead
+    with the field they name, ``segments[i]``, so loaders pass them on."""
 
     frame: Frame
     segments: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.frame, Frame):
+            raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
         segments = tuple(self.segments)
         if not segments:
-            raise FrameError("scenario needs at least one segment")
+            raise FrameError("segments: scenario needs at least one segment")
         for i, segment in enumerate(segments):
             if not isinstance(segment, (tuple, list)) or len(segment) != 2:
                 raise FrameError("segments[%d]: expected a (label, duration) pair, got %r" % (i, segment))
             label, duration = segment
-            self.frame.index(label)  # raises on unknown labels
+            if label not in self.frame.labels:
+                raise FrameError("segments[%d]: unknown label %r (frame is %s)"
+                                 % (i, label, list(self.frame.labels)))
             if not _is_integer(duration) or duration < 1:
-                raise FrameError("segment (%r, %r): duration must be a positive integer" % (label, duration))
+                raise FrameError("segments[%d]: duration must be a positive integer, got %r" % (i, duration))
         object.__setattr__(self, "segments", tuple(map(tuple, segments)))
 
     @property
@@ -173,14 +178,17 @@ class MonteCarloConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
+        for name, kind in (("scenario", Scenario), ("confusion", ConfusionMatrix),
+                           ("criterion", DecisionCriterion)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError("%s must be a %s, got %r" % (name, kind.__name__, value))
         if self.confusion.frame != self.scenario.frame:
             raise FrameMismatchError("scenario and confusion matrix use different frames")
         if not _is_integer(self.runs) or self.runs < 1:
             raise ConfigError("runs must be a positive integer, got %r" % (self.runs,))
         if not _is_integer(self.master_seed):
             raise ConfigError("master_seed must be an integer, got %r" % (self.master_seed,))
-        if not isinstance(self.criterion, DecisionCriterion):
-            raise ConfigError("criterion must be a DecisionCriterion, got %r" % (self.criterion,))
         if not self.rules:
             raise ConfigError("at least one rule configuration is required")
         for i, rule_cfg in enumerate(self.rules):

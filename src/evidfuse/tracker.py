@@ -38,6 +38,8 @@ class ConfusionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.frame, Frame):
+            raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
         rows = tuple(tuple(row) for row in self.rows)
         m = self.frame.size
         if len(rows) != m:

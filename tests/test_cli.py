@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, driven through ``main(argv)``."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -108,6 +109,22 @@ def test_fuse_report_csv(workdir, capsys):
     assert "subset,mass" in lines
     data = dict(l.split(",") for l in lines[lines.index("subset,mass") + 1:])
     assert float(data["Fighter"]) == pytest.approx(0.09 / 0.19, abs=1e-12)
+
+
+def test_fuse_csv_quotes_labels_with_commas_and_quotes(tmp_path, capsys):
+    # unquoted, a label's "," or '"' would split its row into more cells
+    frame = ["a,b", 'say "hi"']
+    both = "|".join(frame)
+    for name, label in (("m1.json", frame[0]), ("m2.json", frame[1])):
+        (tmp_path / name).write_text(json.dumps({"frame": frame, "masses": {label: 0.9, both: 0.1}}),
+                                     encoding="utf-8")
+    code = main(["fuse", str(tmp_path / "m1.json"), str(tmp_path / "m2.json"),
+                 "--rule", "pcr5", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["subset", "mass"]
+    assert [row[0] for row in rows[1:]] == [frame[0], frame[1], both]
+    assert [float(row[1]) for row in rows[1:]] == pytest.approx([0.495, 0.495, 0.01], abs=1e-12)
 
 
 def test_fuse_total_conflict_exits_3(workdir, capsys):

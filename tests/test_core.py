@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from evidfuse import (
+    ConsensusResult,
     DecisionCriterion,
     Frame,
     FrameError,
@@ -91,11 +92,25 @@ def test_frame_rejects_line_break_in_label(label):
         make_frame(["Other", label])
 
 
+@pytest.mark.parametrize("labels", ["Fighter", 7], ids=["str", "int"])
+def test_frame_rejects_labels_that_are_not_a_sequence(labels):
+    # a string is iterable, but its characters are not the labels meant
+    with pytest.raises(FrameError, match=r"^frame: expected a sequence of labels, got "):
+        make_frame(labels)
+
+
 def test_frame_rejects_unknown_label():
     with pytest.raises(FrameError):
         FC_FRAME.singleton("Bomber")
     with pytest.raises(FrameError):
         FC_FRAME.parse_subset("Fighter|Bomber")
+
+
+def test_frame_rejects_empty_and_repeated_subset_spellings():
+    with pytest.raises(FrameError, match="^empty subset spelling$"):
+        FC_FRAME.parse_subset("")
+    with pytest.raises(FrameError, match=r"^label 'Fighter' repeated in subset spelling 'Fighter\|Fighter'$"):
+        FC_FRAME.parse_subset("Fighter|Fighter")
 
 
 def test_frame_rejects_out_of_range_bits():
@@ -121,6 +136,13 @@ def test_make_bba_accepts_string_and_int_keys():
     assert m.mass(["Fighter", "Cargo"]) == 0.1
     assert m.mass("Cargo") == 0.0
     assert sorted(m.masses) == [0b01, 0b11]
+
+
+def test_mass_function_lookup_and_spelling():
+    m = make_bba(FC_FRAME, {"Fighter": 0.75, "Fighter|Cargo": 0.25})
+    with pytest.raises(FrameError, match=r"^cannot interpret 1\.5 as a focal set$"):
+        m.mass(1.5)
+    assert str(m) == "{Fighter: 0.75, Fighter|Cargo: 0.25}"
 
 
 def test_make_bba_prunes_zero_masses():
@@ -230,6 +252,11 @@ def test_conjunctive_consensus_vacuous_is_identity(m):
     assert result.masses == m.masses
 
 
+def test_consensus_result_rejects_masses_that_do_not_sum_to_one():
+    with pytest.raises(MassFunctionError, match=r"^consensus masses sum to 0\.90000000000000002, not 1$"):
+        ConsensusResult(FC_FRAME, {0: 0.5, 0b11: 0.4})
+
+
 def test_conjunctive_consensus_frame_mismatch():
     with pytest.raises(FrameMismatchError):
         conjunctive_consensus(vacuous_bba(FC_FRAME), vacuous_bba(ABC_FRAME))
@@ -269,6 +296,11 @@ def test_decide_tie_breaks_to_lowest_index():
     assert decide(m) == "Fighter"
     m = make_bba(FC_FRAME, {"Fighter|Cargo": 1.0})
     assert decide(m) == "Fighter"
+
+
+def test_decide_rejects_a_criterion_of_another_type():
+    with pytest.raises(ValueError, match="^unknown decision criterion 'belief'$"):
+        decide(vacuous_bba(FC_FRAME), "belief")
 
 
 def test_decide_criteria_can_disagree():

@@ -250,6 +250,20 @@ def test_load_simulation_config_field_paths(tmp_path, mutate, message):
         load_simulation_config(write_json(tmp_path, "sim.json", data))
 
 
+@pytest.mark.parametrize("segments, message", [
+    ([["Cargo"]], "segments[0]: expected a (label, duration) pair, got ['Cargo']"),
+    ([["Cargo", 0]], "segments[0]: duration must be a positive integer, got 0"),
+    ([["Bomber", 3]], "segments[0]: unknown label 'Bomber' (frame is ['Fighter', 'Cargo'])"),
+    ([], "segments: scenario needs at least one segment"),
+], ids=["not-a-pair", "zero-duration", "unknown-label", "empty"])
+def test_segment_errors_name_the_field_once(tmp_path, segments, message):
+    # Scenario's own message, which leads with the field, is passed on unchanged
+    data = dict(VALID_CONFIG, segments=segments)
+    with pytest.raises(ConfigError) as raised:
+        load_simulation_config(write_json(tmp_path, "sim.json", data))
+    assert str(raised.value) == message
+
+
 def test_simulation_config_round_trip(tmp_path):
     cfg = default_config(runs=12, master_seed=9)
     path = write_json(tmp_path, "sim.json", simulation_config_to_json(cfg))

@@ -22,6 +22,7 @@ from evidfuse import (
     DecisionCriterion,
     EvidenceError,
     FrameError,
+    FrameMismatchError,
     MassFunctionError,
     MAX_FRAME_SIZE,
     MonteCarloConfig,
@@ -49,6 +50,7 @@ from evidfuse import (
 from evidfuse import core, montecarlo
 from evidfuse.cli import main
 from evidfuse.fileio import traces_to_csv
+from evidfuse.montecarlo import DEFAULT_SEGMENTS
 
 from conftest import FC_FRAME
 
@@ -105,6 +107,27 @@ def test_scenario_rejects_bad_segments():
     for segment in (("Cargo",), ("Cargo", 3, 4), "Cargo", "C3", 5):
         with pytest.raises(FrameError, match=r"^segments\[1\]: expected a \(label, duration\) pair, got "):
             Scenario(FC_FRAME, (("Fighter", 2), segment))
+
+
+def test_scenario_rejects_a_frame_that_is_not_a_frame():
+    with pytest.raises(FrameError, match=r"^frame: expected a Frame, got \('Fighter', 'Cargo'\)$"):
+        Scenario(("Fighter", "Cargo"), (("Cargo", 3),))
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("confusion", ((0.9, 0.1), (0.1, 0.9)), "ConfusionMatrix"),
+    ("scenario", DEFAULT_SEGMENTS, "Scenario"),
+])
+def test_config_rejects_members_of_other_types(field, value, kind):
+    # the frame comparison would otherwise fail with AttributeError
+    with pytest.raises(ConfigError, match=r"^%s must be a %s, got " % (field, kind)):
+        replace(default_config(runs=8), **{field: value})
+
+
+def test_config_rejects_scenario_and_confusion_over_different_frames():
+    other = uniform_diagonal_confusion(make_frame(["Fighter", "Cargo", "Bomber"]), 0.8)
+    with pytest.raises(FrameMismatchError, match="^scenario and confusion matrix use different frames$"):
+        replace(default_config(runs=8), confusion=other)
 
 
 def test_config_validation():
@@ -448,6 +471,12 @@ def test_trace_mass_rejects_scans_outside_the_track(scan):
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
     with pytest.raises(FrameError, match="outside 1..100"):
         trace.mass(scan, "Fighter")
+
+
+def test_trace_mass_rejects_the_empty_set():
+    trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
+    with pytest.raises(FrameError, match="^the empty set carries no mass$"):
+        trace.mass(1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,12 @@ def test_confusion_matrix_rejects_nonstochastic_rows():
         ConfusionMatrix(FC_FRAME, ((1.1, -0.1), (0.1, 0.9)))
 
 
+def test_confusion_matrix_rejects_a_frame_that_is_not_a_frame():
+    # frame.size would otherwise fail with AttributeError
+    with pytest.raises(FrameError, match=r"^frame: expected a Frame, got \('Fighter', 'Cargo'\)$"):
+        ConfusionMatrix(("Fighter", "Cargo"), ((0.9, 0.1), (0.1, 0.9)))
+
+
 @pytest.mark.parametrize("rows", [((True, False), (False, True)), ((1.0, 0.0), ("0", "1")),
                                   ((1.0, 0.0), (0.0, np.True_)), ((1.0, 0.0), (None, 1.0))])
 def test_confusion_matrix_rejects_entries_that_are_not_numbers(rows):
