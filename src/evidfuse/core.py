@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import fsum, isfinite
 from numbers import Real
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import FrameError, FrameMismatchError, MassFunctionError
 
@@ -165,6 +165,8 @@ def _is_real(value: object) -> bool:
 
 def _clean_masses(frame: Frame, entries: Mapping[object, float], *, where: str) -> dict[int, float]:
     """Validate mass entries shared by all constructors; prunes zeros."""
+    if not isinstance(entries, Mapping):
+        raise MassFunctionError("%s: expected a mapping of focal sets to masses, got %r" % (where, entries))
     masses: dict[int, float] = {}
     for key, value in entries.items():
         bits = _coerce_subset(frame, key)

@@ -14,9 +14,9 @@ of compute, fixes every floating-point grouping, so the result is
 bit-identical however the blocks are computed and on how many processes.
 
 Slabs. One engine call, :func:`_run_block`, runs a slab: as many whole blocks
-as keep its ``(scans, rules, runs, M + 1)`` posterior store within
-:data:`_SLAB_BYTES` (8 MiB), worked out from the config as scans x rules x
-(M + 1) doubles per run, and at least one block. It returns one partial per
+as keep its ``(scans, M + 1, rules, runs)`` posterior store within
+:data:`_SLAB_BYTES` (8 MiB), worked out from the config as scans x (M + 1) x
+rules doubles per run, and at least one block. It returns one partial per
 block. The default config (100 scans, 6 rules, M = 2) gets 18 blocks, 576
 runs, per slab; a 128-run, 20-scan, 10-label config is one slab. A slab draws
 all its declarations at once from the closed form of the streams
@@ -27,22 +27,23 @@ processes only when there are two or more slabs: a run count that fits one
 slab never forks.
 
 Batch engine. A slab tracks every rule on every one of its runs at once, in
-``(rules, runs, M + 1)`` arrays: column ``i < M`` is the singleton of label
-``i``, column ``M`` is the full set. These M + 1 columns are all a track ever
+``(M + 1, rules, runs)`` arrays: plane ``i < M`` is the singleton of label
+``i``, plane ``M`` is the full set. These M + 1 planes are all a track ever
 reaches: the prior starts vacuous, an observation's focal sets are the
 declared singleton and the full set, a singleton or the full set meets either
 of them in a singleton, the full set or the empty set, and PCR5 and TCN send a
 conflict back only to the pair's own focal sets. So a scan is one closed-form
-update, a fixed sequence of numpy operations. Declarations, their observation
-masses and the singletons that conflict with them are ``(scans, runs, ...)``,
-broadcast over the rules. Rules differ only in their description,
-:attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the t-conorm (None:
-conflict is not redistributed) and the normalization floor, the triple
-:func:`~evidfuse.rules.combine` runs on. Each t-norm and t-conorm runs on one
-slice ``rules[a:b]`` per maximal run of consecutive rules that share it. Every
-rule is normalized: a rule with no floor divides by exactly 1.0, as a rule with
-no t-conorm divides by ``inf``. Blocks return compact ``(scans, rules, M + 1)``
-sums, scattered into the dense per-subset means after the merge.
+update, a fixed sequence of numpy operations on planes. Observation masses are
+``(scans, runs)``, broadcast over the rules, and the declarations one one-hot
+``(scans, M, 1, runs)`` mask that selects the declared singleton. Rules differ
+only in their description, :attr:`~evidfuse.rules.RuleConfig.fusion`: the
+t-norm, the t-conorm (None: conflict is not redistributed) and the
+normalization floor, the triple :func:`~evidfuse.rules.combine` runs on. Each
+t-norm and t-conorm runs on one slice ``rules[a:b]`` per maximal run of
+consecutive rules that share it. Every rule is normalized: a rule with no
+floor divides by exactly 1.0, as a rule with no t-conorm divides by ``inf``.
+Blocks return compact ``(scans, M + 1, rules)`` sums, transposed and scattered
+into the dense per-subset means after the merge.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -51,13 +52,15 @@ gives run by run. The scalar kernel sums the terms of each focal set with
 singleton ``i != s`` gets at most two terms, ``T(m_i, 1 - c)`` and, when
 conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
 correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
-The declared singleton gets 3 + (M - 1) terms, and the normalizer of
-Dempster and TCN sums M + 1 masses. Both go through :func:`_exact_sum`, which
-returns each row's ``fsum`` bit for bit from error-free TwoSum trees and a
-certificate, and calls ``fsum`` for the rows it cannot certify (about 1 % on
-the default config) and for arrays under :data:`_EXACT_SUM_MIN_ROWS` rows. A
-pair the scalar kernel skips (t-norm 0) enters as an exact zero, which
-changes no sum.
+The declared singleton gets 3 + (M - 1) terms, and the normalizer of Dempster
+and TCN sums M + 1 masses. Both are planes, of a term buffer allocated once
+per slab and of the posterior, so they already lie as the ``(k, n)`` arrays
+that the TwoSum trees of :func:`_exact_sum` read. It returns each row's
+``fsum`` bit for bit from those trees and a certificate, and calls ``fsum``
+for the rows it cannot certify (about 1 % on the default config) and for
+arrays under :data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips
+(t-norm 0), or the declared singleton's own ratio, enters as an exact zero,
+which changes no sum.
 ``argmax`` (first maximum) reproduces the lowest-index tie break of
 :func:`~evidfuse.core.decide` under both criteria.
 
@@ -76,6 +79,7 @@ its run, rule and scan context.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby, repeat
@@ -93,7 +97,7 @@ from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 #: Runs per accumulation block; fixed so results do not depend on worker count.
 CHUNK_RUNS = 32
 
-#: Bytes of posterior store, ``scans x rules x runs x (M + 1)`` doubles, that one
+#: Bytes of posterior store, ``scans x (M + 1) x rules x runs`` doubles, that one
 #: engine call (a slab of whole blocks) may hold. On the 10 000-run default
 #: config on one core (x86_64, numpy 2.4), 4 to 8 MiB ran fastest; 2, 16
 #: and 32 MiB were slower.
@@ -127,6 +131,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if not isinstance(self.frame, Frame):
             raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
+        if not isinstance(self.segments, Iterable):
+            raise FrameError("segments: expected a sequence of (label, duration) pairs, got %r"
+                             % (self.segments,))
         segments = tuple(self.segments)
         if not segments:
             raise FrameError("segments: scenario needs at least one segment")
@@ -177,6 +184,8 @@ class MonteCarloConfig:
     criterion: DecisionCriterion = DecisionCriterion.MAX_BELIEF
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rules, Iterable):
+            raise ConfigError("rules must be a sequence of RuleConfig, got %r" % (self.rules,))
         object.__setattr__(self, "rules", tuple(self.rules))
         for name, kind in (("scenario", Scenario), ("confusion", ConfusionMatrix),
                            ("criterion", DecisionCriterion)):
@@ -329,7 +338,7 @@ def _slab_runs(cfg: MonteCarloConfig) -> int:
 
 
 def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mass sums ``(scans, rules, M + 1)`` and correct-decision counts
+    """Mass sums ``(scans, M + 1, rules)`` and correct-decision counts
     ``(scans, rules)`` of each block of the slab of runs [start, stop), in
     block order; ``start`` is a block boundary, and each block's runs are
     added in run order."""
@@ -339,10 +348,9 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     n_scans, n_runs, n_rules = len(truth), stop - start, len(cfg.rules)
 
     runs = _declarations(cfg, start, stop)
-    declared = runs.T[..., None]  # (scans, runs, 1)
-    c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[declared]
-    obs = np.stack((c, 1.0 - c), axis=2)  # (scans, runs, 2, 1): mass on s, on the full set
-    conflicting = declared != np.arange(m)  # (scans, runs, M): the singletons other than s
+    declared = runs.T[:, None, None] == np.arange(m)[:, None, None]  # (scans, M, 1, runs): one-hot s
+    c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[runs.T]  # (scans, runs)
+    obs = np.stack((c, 1.0 - c), axis=1)[:, :, None, None]  # (scans, 2, 1, 1, runs): mass on s, on the full set
 
     tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
     tnorm_slices = _slices(TNORM_ARRAYS, tnorms)
@@ -351,57 +359,58 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     kept = np.array([floor is None for floor in floors])
     floors = np.array([-np.inf if floor is None else floor for floor in floors])[:, None]
 
-    run = np.arange(n_runs)[:, None]
     truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
-    vacuous = np.eye(m + 1)[m]
-    t = np.empty((n_rules, n_runs, 2, m + 1))  # focal pairs with s (t[:, :, 0]) and the full set (t[:, :, 1])
+    vacuous = np.eye(m + 1)[m][:, None, None]
+    t = np.empty((2, m + 1, n_rules, n_runs))  # focal pairs with s (t[0]) and the full set (t[1])
     # a rule with no t-conorm keeps its conflict: dividing by inf leaves its ratio 0
-    den = np.full((n_rules, n_runs, m), np.inf)
-    masses = np.empty((n_scans, n_rules, n_runs, m + 1))  # every posterior at every scan
+    den = np.full((m, n_rules, n_runs), np.inf)
+    terms = np.empty((m + 3, n_rules, n_runs))  # the declared singleton's terms
+    masses = np.empty((n_scans, m + 1, n_rules, n_runs))  # every posterior at every scan
     failed = np.zeros((n_rules, n_runs), dtype=bool)
-    prior = np.tile(vacuous, (n_rules, n_runs, 1))
+    prior = np.broadcast_to(vacuous, (m + 1, n_rules, n_runs))
     for k in range(n_scans):
-        s = declared[k]
         for tnorm, rules in tnorm_slices:
-            tnorm(prior[rules, :, None, :], obs[k], out=t[rules])
+            tnorm(prior[:, rules], obs[k], out=t[:, :, rules])
         for tconorm, rules in tconorm_slices:
-            tconorm(prior[rules, :, :m], obs[k, :, 0], out=den[rules])
-        ratio = np.zeros((n_rules, n_runs, m))
-        np.divide(t[:, :, 0, :m], den, out=ratio, where=conflicting[k] & (t[:, :, 0, :m] != 0.0))
+            tconorm(prior[:m, rules], c[k], out=den[:, rules])
+        ratio = np.zeros((m, n_rules, n_runs))
+        np.divide(t[0, :m], den, out=ratio, where=~declared[k] & (t[0, :m] != 0.0))
         post = masses[k]
-        post[...] = t[:, :, 1]
-        post[..., :m] += prior[..., :m] * ratio
-        pairs = (obs[k, :, 0] * ratio, t[:, run, 0, s], t[:, :, 0, m:], t[:, run, 1, s])
-        terms = np.concatenate(pairs, axis=2)
-        post[:, run, s] = _exact_sum(terms.reshape(-1, m + 3)).reshape(n_rules, n_runs, 1)
+        post[...] = t[1]
+        post[:m] += prior[:m] * ratio
+        np.multiply(c[k], ratio, out=terms[:m])
+        terms[m] = t[0, m]
+        # T(m_s, c) and T(m_s, 1 - c): +0.0 plus one selected term, exact as every t-norm is >= +0.0
+        np.sum(t[:, :m], axis=1, where=declared[k], out=terms[m + 1:])
+        np.copyto(post[:m], _exact_sum(terms.reshape(m + 3, -1).T).reshape(n_rules, n_runs), where=declared[k])
 
-        totals = _exact_sum(post.reshape(-1, m + 1)).reshape(n_rules, n_runs)
+        totals = _exact_sum(post.reshape(m + 1, -1).T).reshape(n_rules, n_runs)
         totals[kept] = 1.0
         degenerate = totals <= floors
         if degenerate.any():  # its total may be 0: park the lane on the vacuous assignment
             failed |= degenerate
-            post[degenerate] = vacuous
+            np.copyto(post, vacuous, where=degenerate)
             totals[degenerate] = 1.0
-        post /= totals[..., None]
+        post /= totals
         prior = post
 
     blocks = range(0, n_runs, CHUNK_RUNS)
     counts = np.empty((n_scans, n_rules, len(blocks)))
     for i, b in enumerate(blocks):  # the output audit and the decisions, on every stored posterior
-        block = masses[:, :, b:b + CHUNK_RUNS]
-        sound = (block >= 0.0).all(axis=3) & (np.abs(block.sum(axis=3) - 1.0) <= SUM_TOLERANCE)
+        block = masses[..., b:b + CHUNK_RUNS]
+        sound = (block >= 0.0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
         failed[:, b:b + CHUNK_RUNS] |= ~sound.all(axis=0)
-        scores = block[..., :m]
+        scores = block[:, :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
-            scores = scores + block[..., m:] / m
-        counts[:, :, i] = (scores.argmax(axis=3) == truth_index).sum(axis=2)
+            scores = scores + block[:, m:] / m
+        counts[:, :, i] = (scores.argmax(axis=1) == truth_index).sum(axis=2)
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed)
-    mass_sums = np.zeros((n_scans, n_rules, len(blocks), m + 1))
+    mass_sums = np.zeros((n_scans, m + 1, n_rules, len(blocks)))
     for r in range(min(CHUNK_RUNS, n_runs)):  # run r of every block: run order, as the scalar loop
-        nth = masses[:, :, r::CHUNK_RUNS]
-        mass_sums[:, :, :nth.shape[2]] += nth
-    return [(mass_sums[:, :, b], counts[:, :, b]) for b in range(len(blocks))]
+        nth = masses[..., r::CHUNK_RUNS]
+        mass_sums[..., :nth.shape[3]] += nth
+    return [(mass_sums[..., b], counts[:, :, b]) for b in range(len(blocks))]
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:
@@ -439,14 +448,14 @@ def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTra
     frame = cfg.frame
     truth = cfg.scenario.expand()
     n_scans = len(truth)
-    mass_total = np.zeros((n_scans, len(cfg.rules), frame.size + 1))
+    mass_total = np.zeros((n_scans, frame.size + 1, len(cfg.rules)))
     correct_total = np.zeros((n_scans, len(cfg.rules)))
     for mass_sums, correct in chain.from_iterable(slabs):  # block order: merge is worker-count invariant
         mass_total += mass_sums
         correct_total += correct
     columns = [frame.singleton(label) - 1 for label in frame.labels] + [frame.full_set - 1]
     mean_masses = np.zeros((len(cfg.rules), n_scans, frame.full_set))
-    mean_masses[..., columns] = mass_total.transpose(1, 0, 2) / cfg.runs
+    mean_masses[..., columns] = mass_total.transpose(2, 0, 1) / cfg.runs
     return [AveragedTrace(rule_cfg, frame, truth, mean_masses[j], correct_total[:, j] / cfg.runs)
             for j, rule_cfg in enumerate(cfg.rules)]
 

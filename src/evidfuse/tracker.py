@@ -9,6 +9,7 @@ first scan is always the vacuous assignment (full ignorance).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import fsum, isfinite
 from typing import Sequence
@@ -40,7 +41,13 @@ class ConfusionMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.frame, Frame):
             raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
-        rows = tuple(tuple(row) for row in self.rows)
+        if not isinstance(self.rows, Iterable):
+            raise FrameError("confusion matrix: expected a sequence of rows, got %r" % (self.rows,))
+        rows = tuple(self.rows)
+        for i, row in enumerate(rows):
+            if not isinstance(row, Iterable):
+                raise FrameError("confusion matrix row %d: expected a sequence of entries, got %r" % (i, row))
+        rows = tuple(map(tuple, rows))
         m = self.frame.size
         if len(rows) != m:
             raise FrameError("confusion matrix needs %d rows, got %d" % (m, len(rows)))

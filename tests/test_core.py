@@ -199,6 +199,13 @@ def test_make_bba_rejects_masses_that_are_not_numbers(value):
         make_bba(FC_FRAME, {"Fighter": value})
 
 
+@pytest.mark.parametrize("entries", [[("Fighter", 1.0)], 5])
+def test_make_bba_rejects_entries_that_are_not_a_mapping(entries):
+    # .items() would otherwise fail with AttributeError
+    with pytest.raises(MassFunctionError, match=r"^make_bba: expected a mapping of focal sets to masses, got "):
+        make_bba(FC_FRAME, entries)
+
+
 @pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)])
 def test_make_bba_accepts_ints_floats_and_numpy_reals(value):
     assert make_bba(FC_FRAME, {"Fighter": value}).masses == {FC_FRAME.singleton("Fighter"): 1.0}

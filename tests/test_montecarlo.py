@@ -2,10 +2,13 @@
 
 import hashlib
 import math
+import multiprocessing
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,9 @@ def test_scenario_rejects_bad_segments():
     for segment in (("Cargo",), ("Cargo", 3, 4), "Cargo", "C3", 5):
         with pytest.raises(FrameError, match=r"^segments\[1\]: expected a \(label, duration\) pair, got "):
             Scenario(FC_FRAME, (("Fighter", 2), segment))
+    not_a_sequence = r"^segments: expected a sequence of \(label, duration\) pairs, got 5$"
+    with pytest.raises(FrameError, match=not_a_sequence):
+        Scenario(FC_FRAME, 5)
 
 
 def test_scenario_rejects_a_frame_that_is_not_a_frame():
@@ -117,6 +123,7 @@ def test_scenario_rejects_a_frame_that_is_not_a_frame():
 @pytest.mark.parametrize("field, value, kind", [
     ("confusion", ((0.9, 0.1), (0.1, 0.9)), "ConfusionMatrix"),
     ("scenario", DEFAULT_SEGMENTS, "Scenario"),
+    ("rules", 5, "sequence of RuleConfig"),
 ])
 def test_config_rejects_members_of_other_types(field, value, kind):
     # the frame comparison would otherwise fail with AttributeError
@@ -427,16 +434,40 @@ def first_failure_in_the_second_slab_config():
     )
 
 
+def ten_label_pignistic_config():
+    frame = make_frame(["L%d" % i for i in range(10)])
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("L3", 4), ("L8", 3))),
+        confusion=uniform_diagonal_confusion(frame, 0.7),
+        rules=default_rules(),
+        runs=70,
+        master_seed=10,
+        criterion=DecisionCriterion.MAX_PIGNISTIC,
+    )
+
+
 @pytest.mark.parametrize("cfg, error", [
     (small_config(runs=70), None),
     (first_failure_in_the_second_slab_config(), "run 38, rule tcn(bounded, max): scan 2: "),
-], ids=["output", "first-failure"])
+    (ten_label_pignistic_config(), None),
+], ids=["output", "first-failure", "ten-labels"])
 def test_real_pool_over_slabs_matches_one_worker(monkeypatch, cfg, error):
     monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)  # three one-block slabs, two workers
     assert montecarlo._slab_runs(cfg) == montecarlo.CHUNK_RUNS
     expected = outcome(run_monte_carlo, cfg, workers=1)
     assert outcome(run_monte_carlo, cfg, workers=2) == expected
     assert expected[1].startswith(error) if error else isinstance(expected, list)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_real_pool_under_other_start_methods_matches_one_worker(monkeypatch, method):
+    # spawn is the default on macOS, forkserver on Linux from Python 3.14: the
+    # workers import the package afresh and get the config only by pickling
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip("start method %s is not available here" % method)
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    test_real_pool_over_slabs_matches_one_worker(monkeypatch, ten_label_pignistic_config(), None)
 
 
 def test_default_config_output_is_pinned(tmp_path):
@@ -557,6 +588,7 @@ ALTERNATING_TNORMS = [rule for pair in zip(PRODUCT_RULES, OTHER_RULES) for rule 
 @settings(max_examples=60, deadline=None)
 @given(cfg=simulation_configs())
 @example(cfg=largest_frame_config())
+@example(cfg=replace(largest_frame_config(), criterion=DecisionCriterion.MAX_PIGNISTIC))
 @example(cfg=slice_edge_config([RuleConfig(Rule.DEMPSTER)]))  # no t-conorm slice
 @example(cfg=slice_edge_config([RuleConfig(Rule.PCR5)]))  # no normalized rule
 @example(cfg=slice_edge_config(ALTERNATING_TNORMS))

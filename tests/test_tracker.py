@@ -54,6 +54,11 @@ def test_confusion_matrix_rejects_bad_shapes():
         ConfusionMatrix(FC_FRAME, ((0.9, 0.1),))
     with pytest.raises(EvidenceError):
         ConfusionMatrix(FC_FRAME, ((0.9, 0.05, 0.05), (0.1, 0.8, 0.1)))
+    # members that are not sequences at all: FrameError, not TypeError
+    with pytest.raises(FrameError, match="^confusion matrix: expected a sequence of rows, got 5$"):
+        ConfusionMatrix(FC_FRAME, 5)
+    with pytest.raises(FrameError, match="^confusion matrix row 1: expected a sequence of entries, got 5$"):
+        ConfusionMatrix(FC_FRAME, ((0.9, 0.1), 5))
 
 
 def test_confusion_matrix_rejects_nonstochastic_rows():
