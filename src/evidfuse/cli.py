@@ -160,10 +160,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError("--threads: expected a positive integer, got %d" % workers)
-
-    traces = run_monte_carlo(cfg, workers=workers)
+    try:
+        traces = run_monte_carlo(cfg, workers=workers)
+    except ConfigError as exc:  # spell the field as the flag that sets it
+        raise ConfigError(re.sub(r"\bworkers\b", "--threads", str(exc))) from None
     _write_text(args.output, traces_to_csv(cfg, traces))
 
     if args.plot_data is not None:

@@ -12,7 +12,9 @@ Subset keys spell the included labels joined by "|" in frame order. Loaders
 check only the JSON containers (a field is present, an object, a list or a
 string); every rule about a value belongs to the type that holds it, and its
 error is passed on through one re-wrap that leads with the field path. Rule,
-operator and criterion names ignore case and surrounding spaces.
+operator and criterion names ignore case and surrounding spaces. Input files
+are UTF-8, with or without a leading byte-order mark, and no JSON object may
+repeat a key.
 
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
@@ -194,17 +196,28 @@ def load_declarations(path: str, frame: Frame) -> list[str]:
 
 
 def _read_text(path: str) -> str:
-    """Whole file as text with universal newlines; bad UTF-8 is a ConfigError."""
+    """Whole file as text with universal newlines, less a leading byte-order
+    mark; bad UTF-8 is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError("%s: not valid UTF-8 (%s)" % (path, exc)) from exc
 
 
 def _load_json(path: str) -> object:
+    """A JSON file's value; invalid JSON or a key repeated in one object is a
+    ConfigError."""
+    def unique(pairs: list) -> dict:
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError("%s: duplicate key %r" % (path, key))
+            data[key] = value
+        return data
+
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError("%s: invalid JSON (%s)" % (path, exc)) from exc
 

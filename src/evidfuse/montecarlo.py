@@ -65,16 +65,19 @@ which changes no sum.
 :func:`~evidfuse.core.decide` under both criteria.
 
 Degenerate tracks: the scan loop keeps only the arithmetic the next scan
-reads. A (rule, run) whose total falls to or below its floor is flagged and
-parked on the vacuous assignment, as its masses could turn non-finite. After
-the loop, once per block, every stored posterior gets the scalar output audit
-(nonnegative, total within :data:`~evidfuse.core.SUM_TOLERANCE` of 1) and its
-decision. A track that fails only the audit stays finite (it divides only by a
-positive t-conorm, or by a total above its floor that bounds every entry) and
-fails the slab, so the flagged set is the one a per-scan audit gives. The
-lowest flagged run, then its first flagged rule in config order, is replayed
-through the scalar ``run_track``, so the error raised is the scalar one, with
-its run, rule and scan context.
+reads, with no per-lane flag or branch. A (rule, run) whose total falls to or
+below its floor divides by 1.0 instead and stays unnormalized. Its masses stay
+finite: they are nonnegative, and every scan divides them only by a total
+above the floor or by 1.0, so they sum to about 1 or to at most the floor.
+After the loop, in one pass per block of the store, every stored posterior
+gets the scalar output audit (nonnegative, total within
+:data:`~evidfuse.core.SUM_TOLERANCE` of 1), its decision and its block's
+run-order sum. The audit is the only failure check: every floor is below
+``1 - SUM_TOLERANCE``, so an unnormalized lane fails it at the scan where its
+total fell, and the flagged set is the one a per-scan audit gives. The lowest
+flagged run, then its first flagged rule in config order, is replayed through
+the scalar ``run_track``, so the error raised is the scalar one, with its run,
+rule and scan context.
 """
 
 from __future__ import annotations
@@ -355,19 +358,17 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
     tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
     tnorm_slices = _slices(TNORM_ARRAYS, tnorms)
     tconorm_slices = _slices(TCONORM_ARRAYS, tconorms)
-    # a rule with no floor divides by exactly 1.0 and never parks: its floor is -inf
-    kept = np.array([floor is None for floor in floors])
-    floors = np.array([-np.inf if floor is None else floor for floor in floors])[:, None]
+    # a rule with no floor divides by exactly 1.0: its floor is +inf
+    floors = np.array([np.inf if floor is None else floor for floor in floors])[:, None]
 
     truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
-    vacuous = np.eye(m + 1)[m][:, None, None]
     t = np.empty((2, m + 1, n_rules, n_runs))  # focal pairs with s (t[0]) and the full set (t[1])
     # a rule with no t-conorm keeps its conflict: dividing by inf leaves its ratio 0
     den = np.full((m, n_rules, n_runs), np.inf)
+    declared_t = np.empty((2, m, n_rules, n_runs))  # t[:, :m] on the declared singleton, +0.0 elsewhere
     terms = np.empty((m + 3, n_rules, n_runs))  # the declared singleton's terms
     masses = np.empty((n_scans, m + 1, n_rules, n_runs))  # every posterior at every scan
-    failed = np.zeros((n_rules, n_runs), dtype=bool)
-    prior = np.broadcast_to(vacuous, (m + 1, n_rules, n_runs))
+    prior = np.broadcast_to(np.eye(m + 1)[m][:, None, None], (m + 1, n_rules, n_runs))  # vacuous
     for k in range(n_scans):
         for tnorm, rules in tnorm_slices:
             tnorm(prior[:, rules], obs[k], out=t[:, :, rules])
@@ -380,37 +381,35 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
         post[:m] += prior[:m] * ratio
         np.multiply(c[k], ratio, out=terms[:m])
         terms[m] = t[0, m]
-        # T(m_s, c) and T(m_s, 1 - c): +0.0 plus one selected term, exact as every t-norm is >= +0.0
-        np.sum(t[:, :m], axis=1, where=declared[k], out=terms[m + 1:])
+        # T(m_s, c) and T(m_s, 1 - c): the mask zeroes all but one term per lane, exact as every t is finite, >= +0.0
+        np.multiply(t[:, :m], declared[k], out=declared_t)
+        declared_t.sum(axis=1, out=terms[m + 1:])
         np.copyto(post[:m], _exact_sum(terms.reshape(m + 3, -1).T).reshape(n_rules, n_runs), where=declared[k])
-
         totals = _exact_sum(post.reshape(m + 1, -1).T).reshape(n_rules, n_runs)
-        totals[kept] = 1.0
-        degenerate = totals <= floors
-        if degenerate.any():  # its total may be 0: park the lane on the vacuous assignment
-            failed |= degenerate
-            np.copyto(post, vacuous, where=degenerate)
-            totals[degenerate] = 1.0
-        post /= totals
+        # A lane at or below its floor stays unnormalized, and the output audit
+        # below fails it: every floor is under 1 - SUM_TOLERANCE. It stays
+        # finite: it divides only by a total above its floor or by 1.0, so its
+        # nonnegative masses sum to about 1 or to at most its floor.
+        post /= np.where(totals > floors, totals, 1.0)
         prior = post
 
-    blocks = range(0, n_runs, CHUNK_RUNS)
-    counts = np.empty((n_scans, n_rules, len(blocks)))
-    for i, b in enumerate(blocks):  # the output audit and the decisions, on every stored posterior
+    failed = np.empty((n_rules, n_runs), dtype=bool)
+    blocks = []
+    for b in range(0, n_runs, CHUNK_RUNS):  # the output audit, the decisions and the sums, on every stored posterior
         block = masses[..., b:b + CHUNK_RUNS]
         sound = (block >= 0.0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
-        failed[:, b:b + CHUNK_RUNS] |= ~sound.all(axis=0)
+        failed[:, b:b + CHUNK_RUNS] = ~sound.all(axis=0)
         scores = block[:, :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
             scores = scores + block[:, m:] / m
-        counts[:, :, i] = (scores.argmax(axis=1) == truth_index).sum(axis=2)
+        correct = (scores.argmax(axis=1) == truth_index).sum(axis=2, dtype=float)
+        mass_sums = np.zeros(block.shape[:3])
+        for r in range(block.shape[3]):  # run order, as the scalar loop
+            mass_sums += block[..., r]
+        blocks.append((mass_sums, correct))
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed)
-    mass_sums = np.zeros((n_scans, m + 1, n_rules, len(blocks)))
-    for r in range(min(CHUNK_RUNS, n_runs)):  # run r of every block: run order, as the scalar loop
-        nth = masses[..., r::CHUNK_RUNS]
-        mass_sums[..., :nth.shape[3]] += nth
-    return [(mass_sums[..., b], counts[:, :, b]) for b in range(len(blocks))]
+    return blocks
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:
@@ -432,10 +431,12 @@ def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, f
 def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTrace]:
     """Run the full simulation and average the traces.
 
-    ``workers`` > 1 distributes slabs over a process pool when there are two
-    or more; the output is bit-identical for any worker count (see module
-    docstring).
+    ``workers`` is a positive ``int``; above 1 it distributes slabs over a
+    process pool when there are two or more. The output is bit-identical for
+    any worker count (see module docstring).
     """
+    if not _is_integer(workers) or workers < 1:
+        raise ConfigError("workers must be a positive integer, got %r" % (workers,))
     step = _slab_runs(cfg)
     starts = range(0, cfg.runs, step)
     stops = [min(start + step, cfg.runs) for start in starts]

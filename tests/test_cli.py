@@ -420,6 +420,22 @@ def test_simulate_rejects_bad_thread_count(workdir, tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_simulate_degenerate_fusion_exits_3_and_writes_nothing(tmp_path, capsys):
+    # a perfect classifier: Dempster meets a switch with total conflict at scan 3
+    config = tmp_path / "conflict.json"
+    config.write_text(json.dumps({
+        "frame": ["Fighter", "Cargo"], "confusion": [[1.0, 0.0], [0.0, 1.0]],
+        "segments": [["Cargo", 2], ["Fighter", 2]], "runs": 40, "master_seed": 1,
+        "rules": [{"rule": "pcr5"}, {"rule": "dempster"}],
+    }), encoding="utf-8")
+    out = tmp_path / "conflict.csv"
+    assert main(["simulate", str(config), "--threads", "1", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: run 0, rule dempster: scan 3: total conflict between sources (K=1); "
+        "Dempster's rule is undefined\n")
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_runs_override(workdir, tmp_path, capsys):
     code = main(["simulate", path(workdir, "sim.json"), "--runs", "0",
                  "--threads", "1", "-o", str(tmp_path / "x.csv")])

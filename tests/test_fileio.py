@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,25 @@ def test_load_mass_function_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
+        load_mass_function(str(path))
+
+
+def write_with_bom(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(path)
+
+
+def test_load_mass_function_reads_a_leading_byte_order_mark(tmp_path):
+    m = load_mass_function(write_with_bom(tmp_path, "m.json", json.dumps(VALID_BBA)))
+    assert m.masses == load_mass_function(write_json(tmp_path, "plain.json", VALID_BBA)).masses
+
+
+def test_load_mass_function_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"frame": ["Fighter", "Cargo"], "masses": {"Fighter": 0.3, "Fighter": 0.7, "Cargo": 0.3}}',
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="^%s: duplicate key 'Fighter'$" % re.escape(str(path))):
         load_mass_function(str(path))
 
 
@@ -264,6 +284,19 @@ def test_segment_errors_name_the_field_once(tmp_path, segments, message):
     assert str(raised.value) == message
 
 
+def test_load_simulation_config_reads_a_leading_byte_order_mark(tmp_path):
+    cfg = load_simulation_config(write_with_bom(tmp_path, "sim.json", json.dumps(VALID_CONFIG)))
+    assert cfg == load_simulation_config(write_json(tmp_path, "plain.json", VALID_CONFIG))
+
+
+def test_load_simulation_config_rejects_a_repeated_key(tmp_path):
+    text = json.dumps(VALID_CONFIG)[:-1] + ', "runs": 20}'
+    path = tmp_path / "sim.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^%s: duplicate key 'runs'$" % re.escape(str(path))):
+        load_simulation_config(str(path))
+
+
 def test_simulation_config_round_trip(tmp_path):
     cfg = default_config(runs=12, master_seed=9)
     path = write_json(tmp_path, "sim.json", simulation_config_to_json(cfg))
@@ -296,6 +329,17 @@ def test_load_declarations_matches_a_label_with_outer_spaces(tmp_path):
     path = tmp_path / "decls.txt"
     path.write_text(" lead\nB\n  B \n\n", encoding="utf-8")
     assert load_declarations(str(path), make_frame([" lead", "B"])) == [" lead", "B", "B"]
+
+
+def test_load_declarations_reads_a_leading_byte_order_mark(tmp_path):
+    path = write_with_bom(tmp_path, "decls.txt", "Fighter\nCargo\n")
+    assert load_declarations(path, FC_FRAME) == ["Fighter", "Cargo"]
+
+
+def test_load_declarations_byte_order_mark_on_a_later_line_is_an_unknown_label(tmp_path):
+    path = write_with_bom(tmp_path, "decls.txt", "Fighter\n\ufeffCargo\n")
+    with pytest.raises(ConfigError, match=r"line 2: unknown label '\\ufeffCargo'"):
+        load_declarations(path, FC_FRAME)
 
 
 def test_load_declarations_rejects_empty(tmp_path):

@@ -375,6 +375,14 @@ def test_trace_accessors():
     assert series.shape == (100,)
 
 
+@pytest.mark.parametrize("slab_bytes", [montecarlo._SLAB_BYTES, 1], ids=["one-slab", "slab-per-block"])
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
+def test_worker_count_must_be_a_positive_integer(monkeypatch, workers, slab_bytes):
+    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", slab_bytes)
+    with pytest.raises(ConfigError, match=r"^workers must be a positive integer, got %s$" % re.escape(repr(workers))):
+        run_monte_carlo(small_config(runs=70), workers=workers)
+
+
 def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
     started = []
 
@@ -738,6 +746,13 @@ def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatc
     monkeypatch.setattr(montecarlo, "run_track", lambda *args: [])
     with pytest.raises(RuntimeError, match=r"internal error: .* run 0, rule tcn\(bounded, max\)"):
         run_monte_carlo(vanishing_config())
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=RuleConfig.describe)
+def test_every_floor_is_below_the_output_audits_lower_bound(rule):
+    # the engine leaves a lane at or below its floor unnormalized, for the audit to fail
+    floor = rule.fusion[2]
+    assert floor is None or floor < 1.0 - montecarlo.SUM_TOLERANCE
 
 
 #: First scan at which Dempster's m(full set) is exactly 0 on a track that
