@@ -131,7 +131,7 @@ class Frame:
         return range(1, 1 << len(self.labels))
 
     def _check_bits(self, bits: int) -> None:
-        if not isinstance(bits, int) or bits < 0 or bits > self.full_set:
+        if not _is_integer(bits) or bits < 0 or bits > self.full_set:
             raise FrameError("focal set %r is not a bitmask over %d labels" % (bits, self.size))
 
 
@@ -147,7 +147,7 @@ def cardinality(bits: int) -> int:
 
 def _coerce_subset(frame: Frame, key: object) -> int:
     """Accept a focal set given as a bitmask, a '|'-joined spelling, or labels."""
-    if isinstance(key, int):
+    if _is_integer(key):
         frame._check_bits(key)
         return key
     if isinstance(key, str):
@@ -155,6 +155,12 @@ def _coerce_subset(frame: Frame, key: object) -> int:
     if isinstance(key, Iterable):
         return frame.subset(key)  # type: ignore[arg-type]
     raise FrameError("cannot interpret %r as a focal set" % (key,))
+
+
+def _is_integer(value: object) -> bool:
+    """An ``int`` that is not a ``bool``: counts, seeds and bitmasks are never
+    read from ``True``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value: object) -> bool:
@@ -289,7 +295,8 @@ class ConsensusResult:
         return self.masses.get(0, 0.0)
 
     def mass(self, key: object) -> float:
-        if key == 0 or key == "":
+        """Mass of a focal set; the empty set, the int ``0`` or ``""``, reads K."""
+        if (_is_integer(key) and key == 0) or key == "":
             return self.conflict
         return self.masses.get(_coerce_subset(self.frame, key), 0.0)
 

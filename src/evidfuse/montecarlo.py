@@ -57,7 +57,7 @@ and TCN sums M + 1 masses. Both are planes, of a term buffer allocated once
 per slab and of the posterior, so they already lie as the ``(k, n)`` arrays
 that the TwoSum trees of :func:`_exact_sum` read. It returns each row's
 ``fsum`` bit for bit from those trees and a certificate, and calls ``fsum``
-for the rows it cannot certify (about 1 % on the default config) and for
+for the rows it cannot certify (about 6 % on the default config) and for
 arrays under :data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips
 (t-norm 0), or the declared singleton's own ratio, enters as an exact zero,
 which changes no sum.
@@ -90,7 +90,7 @@ from math import fsum
 
 import numpy as np
 
-from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset
+from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset, _is_integer
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .rng import SplitMix64, run_floats
 from .rules import Rule, RuleConfig
@@ -116,11 +116,6 @@ _EXACT_SUM_MIN_ROWS = 256
 #: partials (``fsum`` raises OverflowError on an intermediate overflow, even
 #: when the sum is finite); inf and NaN fail the test too.
 _EXACT_SUM_MAX_TERM = 2.0**1000
-
-
-def _is_integer(value: object) -> bool:
-    """An ``int`` that is not a ``bool``: counts and seeds are never truncated."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -276,16 +271,16 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - b_part)) + (b - b_part)
 
 
-def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Column sums of ``terms`` (k, n) by a pairwise TwoSum tree, and the k - 1
-    rounding errors: the column sum is exactly the result plus the errors."""
+def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of ``terms`` (k, n) by a pairwise TwoSum tree, and the
+    (k - 1, n) rounding errors: the column sum is exactly the result plus the errors'."""
     errors = []
     while len(terms) > 1:
         half = len(terms) // 2
         s, e = _two_sum(terms[:half], terms[half:2 * half])
         errors.append(e)
         terms = np.concatenate((s, terms[2 * half:])) if len(terms) % 2 else s
-    return terms[0], errors
+    return terms[0], np.concatenate(errors) if errors else terms[:0]
 
 
 def _exact_sum(rows: np.ndarray) -> np.ndarray:
@@ -297,28 +292,28 @@ def _exact_sum(rows: np.ndarray) -> np.ndarray:
     ``f`` is 0, ``res`` is the correctly rounded ``s + E = X`` and rounds ties
     to even as ``fsum`` does. Otherwise ``X - res = r + sum(f)`` with
     ``|sum(f)| <= B = 2 fl(sum(|f|))``, and ``res`` is certified when
-    ``2 (r + B)`` is under the gap to the next double up and ``2 (B - r)``
-    under the gap down: X then lies strictly inside res's rounding interval.
-    Both sides of each test are computed exactly or are doubles (a gap is a
-    power of two, or the subnormal step near 0), and rounding is monotone, so
-    a computed pass implies an exact one. A zero result is +0.0, as from
-    ``fsum``: an IEEE sum is -0.0 only when every addend is, and no TwoSum
-    error is. Rows that fail go through ``fsum`` one by one; arrays with fewer
-    than :data:`_EXACT_SUM_MIN_ROWS` rows, or with a term not below
+    ``2 (|r| + B) < g = fl(|res| 2**-53)``: X then lies strictly inside res's
+    rounding interval, as g is at most the gap to either neighbour of res (the
+    ufp bound, Rump, Ogita & Oishi 2008). For a normal res in [2**e, 2**(e+1))
+    the product lies in [2**(e-53), 2**(e-52)), both gaps are 2**(e-52), and
+    at res = 2**e, where the product is 2**(e-53), the lower gap is at least
+    that. Rounded in the subnormal range to a multiple of 2**-1074, as every
+    gap is, it stays at most the gap. For a subnormal or zero res, g is 0, so
+    only rows whose f are all 0 pass. g is a double and the left side one
+    rounding of 2 (|r| + B), so by monotone rounding a computed pass implies
+    an exact one. A zero result is +0.0, as from ``fsum``: an IEEE sum is
+    -0.0 only when every addend is, and no TwoSum error is. Rows that fail go
+    through ``fsum`` one by one; arrays with fewer than
+    :data:`_EXACT_SUM_MIN_ROWS` rows, or with a term not below
     :data:`_EXACT_SUM_MAX_TERM` in magnitude, go through it whole."""
     if len(rows) < _EXACT_SUM_MIN_ROWS or not np.abs(rows).max() < _EXACT_SUM_MAX_TERM:
         return np.array(list(map(fsum, rows.tolist())))
     s, e = _tree_sum(np.ascontiguousarray(rows.T))
-    sum_e, f = _tree_sum(np.concatenate(e))
+    sum_e, f = _tree_sum(e)
     res, r = _two_sum(s, sum_e)
-    if f:
-        bound = 2.0 * np.abs(np.concatenate(f)).sum(axis=0)
-        up = np.nextafter(res, np.inf) - res
-        down = res - np.nextafter(res, -np.inf)
-        certain = (bound == 0.0) | ((2.0 * (r + bound) < up) & (2.0 * (bound - r) < down))
-        uncertain = np.flatnonzero(~certain)
-        if uncertain.size:
-            res[uncertain] = list(map(fsum, rows[uncertain].tolist()))
+    bound = 2.0 * np.abs(f).sum(axis=0)
+    uncertain = np.flatnonzero((bound != 0.0) & ~(2.0 * (np.abs(r) + bound) < np.abs(res) * 2.0**-53))
+    res[uncertain] = list(map(fsum, rows[uncertain].tolist()))
     return res
 
 
@@ -479,7 +474,10 @@ def readaptation_delays(
     scenario: Scenario,
     threshold: float = 0.5,
 ) -> list[ReadaptationDelay]:
-    """Re-adaptation delay of one rule at every truth switch of the scenario."""
+    """Re-adaptation delay of one rule at every truth switch of the trace's own scenario."""
+    if scenario.frame != trace.frame or scenario.total_scans != len(trace.mean_masses):
+        raise FrameMismatchError("the scenario (%d scans over %s) is not the trace's (%d scans over %s)" % (
+            scenario.total_scans, list(scenario.frame.labels), len(trace.mean_masses), list(trace.frame.labels)))
     truth = scenario.expand()
     delays = []
     for switch_scan, new_type in scenario.switches():

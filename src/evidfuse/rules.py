@@ -98,6 +98,8 @@ def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction
     (Dempster) or :class:`VanishingConsensusError` (TCN) instead of dividing
     by a total at or below the rule's floor.
     """
+    if not isinstance(cfg, RuleConfig):
+        raise ConfigError("cfg must be a RuleConfig, got %r" % (cfg,))
     tnorm, tconorm, floor = cfg.fusion
     masses = _fuse_pairs(m1, m2, TNORM_FUNCS[tnorm], None if tconorm is None else TCONORM_FUNCS[tconorm])
     conflict = masses.pop(0, 0.0)

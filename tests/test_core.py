@@ -120,6 +120,12 @@ def test_frame_rejects_out_of_range_bits():
         FC_FRAME.format_subset(-1)
 
 
+def test_frame_rejects_a_bool_bitmask():
+    # a bool is never a number, so never the bitmask 1 (Fighter)
+    with pytest.raises(FrameError, match=r"^focal set True is not a bitmask over 2 labels$"):
+        FC_FRAME.format_subset(True)
+
+
 def test_frame_is_immutable():
     with pytest.raises(AttributeError):
         FC_FRAME.labels = ("X", "Y")
@@ -143,6 +149,12 @@ def test_mass_function_lookup_and_spelling():
     with pytest.raises(FrameError, match=r"^cannot interpret 1\.5 as a focal set$"):
         m.mass(1.5)
     assert str(m) == "{Fighter: 0.75, Fighter|Cargo: 0.25}"
+
+
+@pytest.mark.parametrize("key", [True, False])
+def test_make_bba_rejects_a_bool_focal_set(key):
+    with pytest.raises(FrameError, match=r"^cannot interpret %s as a focal set$" % key):
+        make_bba(FC_FRAME, {key: 0.5, "Cargo": 0.5})
 
 
 def test_make_bba_prunes_zero_masses():
@@ -257,6 +269,14 @@ def test_conjunctive_consensus_commutes_bitwise(m1, m2):
 def test_conjunctive_consensus_vacuous_is_identity(m):
     result = conjunctive_consensus(m, vacuous_bba(ABC_FRAME))
     assert result.masses == m.masses
+
+
+@pytest.mark.parametrize("key", [False, True])
+def test_consensus_result_reads_the_empty_set_only_from_zero_or_its_empty_spelling(key):
+    result = conjunctive_consensus(*_fc_pair())
+    assert result.mass(0) == result.mass("") == result.conflict
+    with pytest.raises(FrameError, match=r"^cannot interpret %s as a focal set$" % key):
+        result.mass(key)
 
 
 def test_consensus_result_rejects_masses_that_do_not_sum_to_one():

@@ -512,6 +512,12 @@ def test_trace_mass_rejects_scans_outside_the_track(scan):
         trace.mass(scan, "Fighter")
 
 
+def test_trace_mass_rejects_a_bool_focal_set():
+    trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
+    with pytest.raises(FrameError, match="^cannot interpret True as a focal set$"):
+        trace.mass(1, True)
+
+
 def test_trace_mass_rejects_the_empty_set():
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
     with pytest.raises(FrameError, match="^the empty set carries no mass$"):
@@ -629,6 +635,11 @@ TIE = (0.9, 0.09999999999999998, 0.09999999999999998)
 SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-1022 - 2.0**-1074,
                  2.0**-53, 2.0**-54, 1.0, -1.0, 0.1, 0.9, 1.0 - 2.0**-53, 1e308]
 
+#: Pairs that cancel exactly but leave nonzero errors in the second TwoSum
+#: tree of _exact_sum: a row (x, *CANCELLING, d) sums to exactly x + d, and
+#: its certificate, not the exact-error clause, decides whether it needs fsum.
+CANCELLING = (1e-05, -1e-05, 3e-05, -3e-05, -1e-19, 1e-19)
+
 terms = (
     st.floats(-2.0, 2.0)
     | st.floats(0.0, 1.0)
@@ -668,6 +679,10 @@ def fsum_outcome(sums, rows):
 @example(rows=[(float("inf"), 1.0), (float("nan"), 0.0, 1.0), (float("inf"), -float("inf"))], n=0)
 @example(rows=[(1e308, 1e308, -1e308)], n=0)
 @example(rows=[(0.0, 1e308, 1e308, -0.0, -1e308, -1e308, -1.0)], n=0)  # fsum overflows, the tree not
+@example(rows=[(1.0, *CANCELLING), (-1.0, *CANCELLING)], n=0)  # exactly +-1
+@example(rows=[(1.0, *CANCELLING, d) for d in (2.0**-54, 2.0**-53, -(2.0**-55), -(2.0**-54))], n=0)  # 1/4, 1/2 ulp by 1
+@example(rows=[(-0.5, *CANCELLING, 0.0), (-0.5, *CANCELLING, 2.0**-56), (-2.0, *CANCELLING, 2.0**-54)], n=0)  # -2**e
+@example(rows=[(x, *CANCELLING, d) for x in (2.0**-1021, 2.0**-1022) for d in (0.0, 5e-324, -5e-324)], n=0)  # tiny
 def test_exact_sum_is_fsum_of_each_row(rows, n):
     # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
     n = {1: 1, -1: montecarlo._EXACT_SUM_MIN_ROWS - 1, 0: montecarlo._EXACT_SUM_MIN_ROWS}.get(n, n)
@@ -685,6 +700,15 @@ def test_exact_sum_certifies_ties_when_the_error_sum_is_exact(monkeypatch):
     assert calls == []
     exact, rounded = sum(map(Fraction, TIE)), Fraction(math.fsum(TIE))
     assert abs(exact - rounded) == Fraction(float(np.spacing(math.fsum(TIE)))) / 2  # a tie
+
+
+def test_certificate_decides_most_rows_of_the_default_slab(monkeypatch):
+    # a certificate that certifies nothing still returns fsum's bits, only slower
+    calls = []
+    monkeypatch.setattr(montecarlo, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    montecarlo._run_block(default_config(runs=576), 0, 576)
+    tree_rows = 2 * 100 * 6 * 576  # two sums per scan, each of 3456 rows (over _EXACT_SUM_MIN_ROWS)
+    assert len(calls) < 0.1 * tree_rows  # about 6 %
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -858,6 +882,23 @@ def test_readaptation_delay_is_limited_to_the_new_segment():
     delays = readaptation_delays(synthetic_trace(fighter, cargo), scenario)
     assert delays[0].new_type == "Fighter"
     assert delays[0].delay == math.inf
+
+
+@pytest.mark.parametrize("segments", [(("Cargo", 10), ("Fighter", 10)), (("Cargo", 60), ("Fighter", 60))],
+                         ids=["20 scans", "120 scans"])
+def test_readaptation_delays_reject_a_scenario_of_another_length(segments):
+    trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
+    scenario = Scenario(FC_FRAME, segments)
+    with pytest.raises(FrameMismatchError, match=r"^the scenario \(%d scans over \['Fighter', 'Cargo'\]\) "
+                       r"is not the trace's \(100 scans over \['Fighter', 'Cargo'\]\)$" % scenario.total_scans):
+        readaptation_delays(trace, scenario)
+
+
+def test_readaptation_delays_reject_a_scenario_over_another_frame():
+    trace = synthetic_trace([0.1] * 5, [0.8] * 5)
+    scenario = Scenario(make_frame(["Cargo", "Fighter"]), (("Cargo", 2), ("Fighter", 3)))
+    with pytest.raises(FrameMismatchError, match="is not the trace's"):
+        readaptation_delays(trace, scenario)
 
 
 def test_readaptation_delay_threshold_parameter():

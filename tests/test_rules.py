@@ -163,6 +163,12 @@ def test_combine_dispatch():
     assert combine(cfg, m1, m2).masses == tcn_combine(m1, m2, TNorm.MIN, TConorm.MAX).masses
 
 
+@pytest.mark.parametrize("cfg", ["pcr5", Rule.PCR5, None])
+def test_combine_rejects_a_cfg_that_is_not_a_rule_config(cfg):
+    with pytest.raises(ConfigError, match=r"^cfg must be a RuleConfig, got %r$" % (cfg,)):
+        combine(cfg, *_fc_pair())
+
+
 # ---------------------------------------------------------------------------
 # algebraic properties
 # ---------------------------------------------------------------------------

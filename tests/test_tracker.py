@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evidfuse import (
+    ConfigError,
     ConfusionMatrix,
     DecisionCriterion,
     EvidenceError,
@@ -157,6 +158,11 @@ def test_two_step_pcr5():
 def test_run_track_lengths_and_scans():
     records = run_track(["Cargo"] * 7, fc_confusion(), PCR5)
     assert [r.scan for r in records] == list(range(1, 8))
+
+
+def test_run_track_rejects_a_cfg_that_is_not_a_rule_config():
+    with pytest.raises(ConfigError, match=r"^scan 1: cfg must be a RuleConfig, got 'pcr5'$"):
+        run_track(["Fighter"], fc_confusion(), "pcr5")
 
 
 def test_run_track_rejects_empty_sequence():
