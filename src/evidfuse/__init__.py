@@ -15,7 +15,6 @@ from .core import (
     MAX_FRAME_SIZE,
     SUBSET_SEPARATOR,
     SUM_TOLERANCE,
-    cardinality,
     conjunctive_consensus,
     decide,
     make_bba,
@@ -92,7 +91,6 @@ __all__ = [
     "TotalConflictError",
     "TrackRecord",
     "VanishingConsensusError",
-    "cardinality",
     "combine",
     "conjunctive_consensus",
     "decide",

@@ -98,21 +98,10 @@ class Frame:
         except ValueError:
             raise FrameError("unknown label %r (frame is %s)" % (label, list(self.labels))) from None
 
-    def subset(self, labels: Iterable[str]) -> int:
-        """Bitmask of the subset containing exactly the given labels."""
-        bits = 0
-        for label in labels:
-            bits |= self.singleton(label)
-        return bits
-
-    def subset_labels(self, bits: int) -> tuple[str, ...]:
-        """Labels contained in the focal set `bits`, in frame order."""
-        self._check_bits(bits)
-        return tuple(label for i, label in enumerate(self.labels) if bits >> i & 1)
-
     def format_subset(self, bits: int) -> str:
         """Spell a focal set as its labels joined by '|' in frame order."""
-        return SUBSET_SEPARATOR.join(self.subset_labels(bits))
+        self._check_bits(bits)
+        return SUBSET_SEPARATOR.join(label for i, label in enumerate(self.labels) if bits >> i & 1)
 
     def parse_subset(self, text: str) -> int:
         """Inverse of :meth:`format_subset`; rejects empty and repeated labels."""
@@ -140,20 +129,13 @@ def make_frame(labels: Iterable[str]) -> Frame:
     return Frame(labels)
 
 
-def cardinality(bits: int) -> int:
-    """Number of labels in a focal-set bitmask."""
-    return bits.bit_count()
-
-
 def _coerce_subset(frame: Frame, key: object) -> int:
-    """Accept a focal set given as a bitmask, a '|'-joined spelling, or labels."""
+    """Accept a focal set given as an ``int`` bitmask or a '|'-joined spelling."""
     if _is_integer(key):
         frame._check_bits(key)
         return key
     if isinstance(key, str):
         return frame.parse_subset(key)
-    if isinstance(key, Iterable):
-        return frame.subset(key)  # type: ignore[arg-type]
     raise FrameError("cannot interpret %r as a focal set" % (key,))
 
 
@@ -296,7 +278,7 @@ class ConsensusResult:
 
     def mass(self, key: object) -> float:
         """Mass of a focal set; the empty set, the int ``0`` or ``""``, reads K."""
-        if (_is_integer(key) and key == 0) or key == "":
+        if key == "":
             return self.conflict
         return self.masses.get(_coerce_subset(self.frame, key), 0.0)
 
@@ -364,14 +346,10 @@ def pignistic(m: MassFunction) -> dict[str, float]:
     """
     shares: list[list[float]] = [[] for _ in range(m.frame.size)]
     for bits, value in m.masses.items():
-        share = value / cardinality(bits)
-        i = 0
-        rest = bits
-        while rest:
-            if rest & 1:
+        share = value / bits.bit_count()
+        for i in range(m.frame.size):
+            if bits >> i & 1:
                 shares[i].append(share)
-            rest >>= 1
-            i += 1
     return {label: fsum(shares[i]) for i, label in enumerate(m.frame.labels)}
 
 

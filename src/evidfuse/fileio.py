@@ -19,7 +19,9 @@ repeat a key.
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
 (non-alphanumerics become underscores); the mapping from sanitized column
-names back to subsets is echoed in a leading "#" comment line. Writers format
+names back to subsets is echoed in a leading "#" comment line. A frame in
+which two subsets get the same column name (["A", "B", "A_B"] names both A|B
+and A_B "m_A_B") cannot be written and raises a FrameError. Writers format
 only the mass columns with a set bit in the trace (-0.0 prints as -0) and join
 the zeros between them once: the bytes of formatting every cell, at a cost
 that grows with the columns that carry mass, not with the 2^M - 1 subsets.
@@ -37,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
-from .errors import ConfigError, EvidenceError
+from .errors import ConfigError, EvidenceError, FrameError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
 from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
@@ -233,12 +235,17 @@ def sanitize_column(name: str) -> str:
 
 def _subset_columns(frame: Frame) -> tuple[list[str], str]:
     """Column names of the nonempty subsets in canonical order, and the mapping
-    comment; each subset is spelled from the subset without its top label."""
+    comment; each subset is spelled from the subset without its top label.
+    Two subsets whose sanitized names coincide are a FrameError."""
     spellings, names = [""], ["m"]
     for label in frame.labels:
         column = "_" + sanitize_column(label)
         spellings += [s + SUBSET_SEPARATOR + label if s else label for s in spellings]
         names += [name + column for name in names]
+    owners = dict(zip(names, spellings))
+    if len(owners) < len(names):  # the first subset whose name a later one takes
+        name, spelling = next((n, s) for n, s in zip(names, spellings) if owners[n] != s)
+        raise FrameError("subsets %s and %s share the column name %s" % (spelling, owners[name], name))
     mapping = ", ".join("%s = %s" % pair for pair in zip(names[1:], spellings[1:]))
     return names[1:], "# columns: %s" % mapping
 
@@ -305,9 +312,10 @@ def rule_file_tag(cfg: RuleConfig) -> str:
 
 def trace_plot_data(trace: AveragedTrace) -> str:
     """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
-    frame = trace.frame
-    columns = [frame.singleton(label) - 1 for label in frame.labels]
-    lines = ["# scan " + " ".join("m_" + sanitize_column(label) for label in frame.labels)]
-    template = " ".join(["{}"] + [_MASS_FIELD] * len(columns))
-    lines += [template.format(k, *row) for k, row in enumerate(trace.mean_masses[:, columns].tolist(), 1)]
+    labels = trace.frame.labels
+    names, _ = _subset_columns(trace.frame)
+    series = np.column_stack([trace.singleton_series(label) for label in labels])
+    lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(len(labels)))]
+    template = " ".join(["{}"] + [_MASS_FIELD] * len(labels))
+    lines += [template.format(k, *row) for k, row in enumerate(series.tolist(), 1)]
     return "\n".join(lines) + "\n"

@@ -94,7 +94,7 @@ from .core import SUM_TOLERANCE, DecisionCriterion, Frame, _coerce_subset, _is_i
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .rng import SplitMix64, run_floats
 from .rules import Rule, RuleConfig
-from .tracker import ConfusionMatrix, run_track
+from .tracker import ConfusionMatrix, run_track, uniform_diagonal_confusion
 from .operators import TCONORM_ARRAYS, TNORM_ARRAYS, TConorm, TNorm
 
 #: Runs per accumulation block; fixed so results do not depend on worker count.
@@ -227,8 +227,8 @@ class AveragedTrace:
 
     def mass(self, scan: int, key: object) -> float:
         """Mean mass of a focal set at a 1-based scan index, an ``int``."""
-        if not _is_integer(scan) or not 1 <= scan <= len(self.truth):
-            raise FrameError("scan %r is outside 1..%d" % (scan, len(self.truth)))
+        if not _is_integer(scan) or not 1 <= scan <= len(self.mean_masses):
+            raise FrameError("scan %r is outside 1..%d" % (scan, len(self.mean_masses)))
         bits = _coerce_subset(self.frame, key)
         if bits == 0:
             raise FrameError("the empty set carries no mass")
@@ -521,9 +521,7 @@ def default_scenario() -> Scenario:
 
 
 def default_confusion(diagonal: float = 0.9) -> ConfusionMatrix:
-    frame = default_frame()
-    off = 1.0 - diagonal
-    return ConfusionMatrix(frame, ((diagonal, off), (off, diagonal)))
+    return uniform_diagonal_confusion(default_frame(), diagonal)
 
 
 def default_rules() -> tuple[RuleConfig, ...]:

@@ -75,8 +75,7 @@ class ConfusionMatrix:
 
 def identity_confusion(frame: Frame) -> ConfusionMatrix:
     """A perfect classifier (identity confusion matrix)."""
-    m = frame.size
-    return ConfusionMatrix(frame, tuple(tuple(1.0 if i == j else 0.0 for j in range(m)) for i in range(m)))
+    return uniform_diagonal_confusion(frame, 1.0)
 
 
 def uniform_diagonal_confusion(frame: Frame, diagonal: float) -> ConfusionMatrix:

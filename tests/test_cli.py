@@ -398,6 +398,27 @@ def test_simulate_label_with_line_break_exits_2(workdir, tmp_path, capsys, label
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("labels, first, second", [(["A", "B", "A_B"], "A|B", "A_B"),
+                                                   (["A-B", "A_B"], "A-B", "A_B")])
+def test_a_frame_whose_subsets_share_a_column_name_exits_2_and_writes_nothing(tmp_path, capsys, labels,
+                                                                              first, second):
+    matrix = [[1.0 if i == j else 0.0 for j in range(len(labels))] for i in range(len(labels))]
+    config, cm, decls = tmp_path / "sim.json", tmp_path / "cm.json", tmp_path / "decls.txt"
+    config.write_text(json.dumps({
+        "frame": labels, "confusion": matrix, "segments": [[labels[0], 2]], "runs": 2,
+        "master_seed": 1, "rules": [{"rule": "pcr5"}],
+    }), encoding="utf-8")
+    cm.write_text(json.dumps({"frame": labels, "matrix": matrix}), encoding="utf-8")
+    decls.write_text(labels[0] + "\n", encoding="utf-8")
+    message = "error: subsets %s and %s share the column name m_A_B\n" % (first, second)
+    out, plots = tmp_path / "x.csv", tmp_path / "plots"
+    assert main(["simulate", str(config), "--plot-data", str(plots), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["track", str(decls), "--confusion", str(cm), "--rule", "pcr5", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists() and not plots.exists()
+
+
 @pytest.mark.parametrize("has_affinity, expected", [(True, 1), (False, 3)])
 def test_simulate_defaults_to_the_cpus_it_may_run_on(workdir, tmp_path, monkeypatch, has_affinity, expected):
     # pinned to one CPU of several, the default must not fork onto CPUs it cannot use

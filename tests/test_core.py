@@ -1,19 +1,22 @@
 """Frames, mass functions, consensus operators, and decisions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from evidfuse import (
+    AveragedTrace,
     ConsensusResult,
     DecisionCriterion,
     Frame,
     FrameError,
     FrameMismatchError,
     MassFunctionError,
-    cardinality,
+    Rule,
+    RuleConfig,
     conjunctive_consensus,
     decide,
     make_bba,
@@ -41,9 +44,7 @@ def test_frame_basics():
 
 def test_frame_subset_round_trip():
     frame = ABC_FRAME
-    bits = frame.subset(["Charlie", "Alpha"])
-    assert bits == 0b101
-    assert frame.subset_labels(bits) == ("Alpha", "Charlie")
+    bits = 0b101
     assert frame.format_subset(bits) == "Alpha|Charlie"
     assert frame.parse_subset("Alpha|Charlie") == bits
     assert frame.parse_subset("Charlie|Alpha") == bits
@@ -52,12 +53,6 @@ def test_frame_subset_round_trip():
 def test_frame_nonempty_subsets_order():
     assert list(FC_FRAME.nonempty_subsets()) == [1, 2, 3]
     assert len(list(ABC_FRAME.nonempty_subsets())) == 7
-
-
-def test_cardinality():
-    assert cardinality(0) == 0
-    assert cardinality(0b101) == 2
-    assert cardinality(0b1111) == 4
 
 
 def test_frame_rejects_duplicates():
@@ -139,7 +134,6 @@ def test_make_bba_accepts_string_and_int_keys():
     m = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1})
     assert m.mass("Fighter") == 0.9
     assert m.mass(0b01) == 0.9
-    assert m.mass(["Fighter", "Cargo"]) == 0.1
     assert m.mass("Cargo") == 0.0
     assert sorted(m.masses) == [0b01, 0b11]
 
@@ -149,6 +143,32 @@ def test_mass_function_lookup_and_spelling():
     with pytest.raises(FrameError, match=r"^cannot interpret 1\.5 as a focal set$"):
         m.mass(1.5)
     assert str(m) == "{Fighter: 0.75, Fighter|Cargo: 0.25}"
+
+
+#: Keys that are neither an int bitmask nor an "A|B" spelling; the hashable
+#: ones can also be mass-entry keys.
+HASHABLE_NON_KEYS = [("Fighter", "Cargo"), ("Fighter", "Fighter"), (), b"Fighter", frozenset({"Fighter"})]
+NON_KEYS = HASHABLE_NON_KEYS + [["Fighter"], {"Fighter"}, {"Fighter": 1}]
+
+
+def _read_focal_set(reader, key):
+    if reader == "make_bba":
+        return make_bba(FC_FRAME, {key: 0.5, "Cargo": 0.5})
+    if reader == "MassFunction.mass":
+        return vacuous_bba(FC_FRAME).mass(key)
+    if reader == "ConsensusResult.mass":
+        return conjunctive_consensus(*_fc_pair()).mass(key)
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), FC_FRAME, ("Cargo",) * 5, np.full((5, 3), 1 / 3), np.zeros(5))
+    return trace.mass(1, key)
+
+
+@pytest.mark.parametrize("reader, key", [("make_bba", key) for key in HASHABLE_NON_KEYS] + [
+    (reader, key) for reader in ("MassFunction.mass", "ConsensusResult.mass", "AveragedTrace.mass")
+    for key in NON_KEYS
+], ids=str)
+def test_a_focal_set_is_only_a_bitmask_or_a_spelling(reader, key):
+    with pytest.raises(FrameError, match=r"^cannot interpret %s as a focal set$" % re.escape(repr(key))):
+        _read_focal_set(reader, key)
 
 
 @pytest.mark.parametrize("key", [True, False])

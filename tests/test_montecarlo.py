@@ -512,6 +512,15 @@ def test_trace_mass_rejects_scans_outside_the_track(scan):
         trace.mass(scan, "Fighter")
 
 
+def test_trace_mass_bounds_the_scan_by_the_rows_it_reads():
+    # truth and mean_masses are separate members; the scan indexes the rows
+    rows = np.full((5, 3), 1 / 3)
+    assert AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), (), rows, np.zeros(5)).mass(1, "Fighter") == 1 / 3
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), ("Fighter",) * 9, rows, np.zeros(5))
+    with pytest.raises(FrameError, match=r"^scan 7 is outside 1\.\.5$"):
+        trace.mass(7, "Fighter")
+
+
 def test_trace_mass_rejects_a_bool_focal_set():
     trace = run_monte_carlo(small_config(runs=1, rules=[RuleConfig(Rule.PCR5)]))[0]
     with pytest.raises(FrameError, match="^cannot interpret True as a focal set$"):
