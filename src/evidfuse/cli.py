@@ -33,6 +33,7 @@ from .errors import (
 )
 from .fileio import (
     _csv_cells,
+    _subset_columns,
     format_mass,
     load_confusion,
     load_declarations,
@@ -157,6 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
 
+    _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

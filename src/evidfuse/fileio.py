@@ -22,9 +22,9 @@ significant digits, and sanitize frame labels in column names
 names back to subsets is echoed in a leading "#" comment line. A frame in
 which two subsets get the same column name (["A", "B", "A_B"] names both A|B
 and A_B "m_A_B") cannot be written and raises a FrameError. Writers format
-only the mass columns with a set bit in the trace (-0.0 prints as -0) and join
-the zeros between them once: the bytes of formatting every cell, at a cost
-that grows with the columns that carry mass, not with the 2^M - 1 subsets.
+only the columns a track reaches (-0.0 prints as -0) and join the zeros
+between them once: the bytes of formatting every cell, at a cost that grows
+with the reached columns, not with the 2^M - 1 subsets.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
-from .errors import ConfigError, EvidenceError, FrameError
+from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
 from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
@@ -287,19 +287,19 @@ def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str
     """Averaged-trace CSV, one row per (rule, scan), in rule order then scan."""
     names, comment = _subset_columns(cfg.frame)
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
-    truth = [true_types[label] for label in cfg.scenario.expand()]
+    # the columns of a trace's masses (its singletons, then its full set) and correct_rate
+    live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
     lines = [comment, _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])]
     for trace in traces:
         rule = trace.rule
+        if trace.frame != cfg.frame:
+            raise FrameMismatchError("the trace of rule %s is not over the config's frame" % rule.describe())
         tnorm = rule.tnorm.value if rule.tnorm is not None else ""
         tconorm = rule.tconorm.value if rule.tconorm is not None else ""
         labels = _csv_cells([rule.rule.value, tnorm, tconorm])
-        # columns follow subset order (column bits - 1); a column is live when
-        # a bit of it is set, so -0.0 still prints as -0
-        numbers = np.column_stack((trace.mean_masses, trace.correct_rate))
-        live = np.flatnonzero(numbers.view(np.uint64).any(axis=0)).tolist()
-        heads = ["%s,%d,%s" % (labels, k, t) for k, t in enumerate(truth, 1)]
-        lines += _mass_lines(heads, numbers[:, live].tolist(), live, numbers.shape[1])
+        heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(trace.truth, 1)]
+        rows = np.column_stack((trace.masses, trace.correct_rate)).tolist()
+        lines += _mass_lines(heads, rows, live, cfg.frame.full_set + 1)
     return "\n".join(lines) + "\n"
 
 

@@ -42,8 +42,8 @@ normalization floor, the triple :func:`~evidfuse.rules.combine` runs on. Each
 t-norm and t-conorm runs on one slice ``rules[a:b]`` per maximal run of
 consecutive rules that share it. Every rule is normalized: a rule with no
 floor divides by exactly 1.0, as a rule with no t-conorm divides by ``inf``.
-Blocks return compact ``(scans, M + 1, rules)`` sums, transposed and scattered
-into the dense per-subset means after the merge.
+Blocks return compact ``(scans, M + 1, rules)`` sums, and each rule's means
+keep that plane order in its :class:`AveragedTrace`.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -215,28 +215,42 @@ class MonteCarloConfig:
 class AveragedTrace:
     """Per-scan masses and decision hit rate of one rule, averaged over runs.
 
-    ``mean_masses[k, bits - 1]`` is the mean mass of the nonempty subset
-    ``bits`` at scan ``k + 1`` (columns follow canonical bitmask order).
+    ``masses`` is ``(scans, M + 1)``, a row per scan of ``truth``: column ``i < M`` is
+    the singleton of label ``i``, column ``M`` the full set; no other subset is reached.
+    ``mean_masses`` builds the dense means on each read, column ``bits - 1`` per subset.
     """
 
     rule: RuleConfig
     frame: Frame
     truth: tuple[str, ...]
-    mean_masses: np.ndarray
+    masses: np.ndarray
     correct_rate: np.ndarray
+
+    def __post_init__(self) -> None:
+        want = (len(self.truth), self.frame.size + 1), (len(self.truth),)
+        if (np.shape(self.masses), np.shape(self.correct_rate)) != want:
+            raise FrameError("masses and correct_rate must have shapes %s and %s, got %s and %s"
+                             % (*want, np.shape(self.masses), np.shape(self.correct_rate)))
+
+    @property
+    def mean_masses(self) -> np.ndarray:
+        dense = np.zeros((len(self.truth), self.frame.full_set))
+        dense[:, [(1 << i) - 1 for i in range(self.frame.size)] + [self.frame.full_set - 1]] = self.masses
+        return dense
 
     def mass(self, scan: int, key: object) -> float:
         """Mean mass of a focal set at a 1-based scan index, an ``int``."""
-        if not _is_integer(scan) or not 1 <= scan <= len(self.mean_masses):
-            raise FrameError("scan %r is outside 1..%d" % (scan, len(self.mean_masses)))
+        if not _is_integer(scan) or not 1 <= scan <= len(self.masses):
+            raise FrameError("scan %r is outside 1..%d" % (scan, len(self.masses)))
         bits = _coerce_subset(self.frame, key)
         if bits == 0:
             raise FrameError("the empty set carries no mass")
-        return float(self.mean_masses[scan - 1, bits - 1])
+        reached = [1 << i for i in range(self.frame.size)] + [self.frame.full_set]
+        return float(self.masses[scan - 1, reached.index(bits)]) if bits in reached else 0.0
 
     def singleton_series(self, label: str) -> np.ndarray:
         """Mean mass of one singleton across all scans."""
-        return self.mean_masses[:, self.frame.singleton(label) - 1]
+        return self.masses[:, self.frame.index(label)]
 
 
 def sample_decision(true_type: str, confusion: ConfusionMatrix, rng: SplitMix64) -> str:
@@ -441,18 +455,14 @@ def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTra
     else:
         slabs = list(map(_run_block, repeat(cfg), starts, stops))
 
-    frame = cfg.frame
     truth = cfg.scenario.expand()
-    n_scans = len(truth)
-    mass_total = np.zeros((n_scans, frame.size + 1, len(cfg.rules)))
-    correct_total = np.zeros((n_scans, len(cfg.rules)))
+    mass_total = np.zeros((len(truth), cfg.frame.size + 1, len(cfg.rules)))
+    correct_total = np.zeros((len(truth), len(cfg.rules)))
     for mass_sums, correct in chain.from_iterable(slabs):  # block order: merge is worker-count invariant
         mass_total += mass_sums
         correct_total += correct
-    columns = [frame.singleton(label) - 1 for label in frame.labels] + [frame.full_set - 1]
-    mean_masses = np.zeros((len(cfg.rules), n_scans, frame.full_set))
-    mean_masses[..., columns] = mass_total.transpose(2, 0, 1) / cfg.runs
-    return [AveragedTrace(rule_cfg, frame, truth, mean_masses[j], correct_total[:, j] / cfg.runs)
+    means = mass_total / cfg.runs  # (scans, M + 1, rules): each rule's masses keep the engine's planes
+    return [AveragedTrace(rule_cfg, cfg.frame, truth, means[..., j], correct_total[:, j] / cfg.runs)
             for j, rule_cfg in enumerate(cfg.rules)]
 
 
@@ -475,10 +485,10 @@ def readaptation_delays(
     threshold: float = 0.5,
 ) -> list[ReadaptationDelay]:
     """Re-adaptation delay of one rule at every truth switch of the trace's own scenario."""
-    if scenario.frame != trace.frame or scenario.total_scans != len(trace.mean_masses):
-        raise FrameMismatchError("the scenario (%d scans over %s) is not the trace's (%d scans over %s)" % (
-            scenario.total_scans, list(scenario.frame.labels), len(trace.mean_masses), list(trace.frame.labels)))
     truth = scenario.expand()
+    if scenario.frame != trace.frame or truth != trace.truth:
+        raise FrameMismatchError("the scenario (%d scans over %s) is not the trace's (%d scans over %s)" % (
+            len(truth), list(scenario.frame.labels), len(trace.truth), list(trace.frame.labels)))
     delays = []
     for switch_scan, new_type in scenario.switches():
         series = trace.singleton_series(new_type)

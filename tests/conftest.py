@@ -1,10 +1,11 @@
-"""Shared frames and mass-function generators for the test suite."""
+"""Shared frames, mass-function generators and trace builders for the test suite."""
 
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 
-from evidfuse import Frame, make_bba
+from evidfuse import AveragedTrace, Frame, make_bba
 
 FC_FRAME = Frame(("Fighter", "Cargo"))
 ABC_FRAME = Frame(("Alpha", "Bravo", "Charlie"))
@@ -49,3 +50,15 @@ def float_bbas(draw, frame):
     )
     total = math.fsum(values)
     return make_bba(frame, {s: v / total for s, v in zip(subsets, values) if v})
+
+
+def trace_from_dense(rule, frame, truth, dense, rate):
+    """The AveragedTrace of dense ``(scans, 2^M - 1)`` means, column ``bits - 1``
+    per subset ``bits``. A trace holds only the singleton and full-set columns,
+    so a set bit (even -0.0's) in any other column raises instead of being dropped."""
+    dense = np.asarray(dense, dtype=float)
+    reached = [(1 << i) - 1 for i in range(frame.size)] + [frame.full_set - 1]
+    dropped = np.delete(dense, reached, axis=1)
+    if dropped.view(np.uint64).any():
+        raise ValueError("the dense means carry mass outside the singleton and full-set columns")
+    return AveragedTrace(rule, frame, tuple(truth), dense[:, reached], rate)

@@ -15,6 +15,8 @@ import numpy as np
 from evidfuse import EvidenceError, SplitMix64, derive_run_seed, run_track, sample_decision
 from evidfuse.montecarlo import CHUNK_RUNS, AveragedTrace, MonteCarloConfig
 
+from conftest import trace_from_dense
+
 
 def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Accumulate mass sums and correct-decision counts for runs [start, stop)."""
@@ -61,12 +63,12 @@ def run_monte_carlo(cfg: MonteCarloConfig) -> list[AveragedTrace]:
             mass_total += partial[j][0]
             correct_total += partial[j][1]
         traces.append(
-            AveragedTrace(
+            trace_from_dense(
                 rule=rule_cfg,
                 frame=cfg.frame,
                 truth=truth,
-                mean_masses=mass_total / cfg.runs,
-                correct_rate=correct_total / cfg.runs,
+                dense=mass_total / cfg.runs,
+                rate=correct_total / cfg.runs,
             )
         )
     return traces

@@ -419,6 +419,22 @@ def test_a_frame_whose_subsets_share_a_column_name_exits_2_and_writes_nothing(tm
     assert not out.exists() and not plots.exists()
 
 
+def test_a_frame_whose_subsets_share_a_column_name_fails_before_the_simulation(tmp_path, capsys, monkeypatch):
+    def simulate(cfg, workers):
+        raise AssertionError("simulated a frame the writers refuse")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", simulate)
+    config, out = tmp_path / "sim.json", tmp_path / "x.csv"
+    config.write_text(json.dumps({
+        "frame": ["A", "B", "A_B"], "confusion": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+        "segments": [["A", 50], ["B", 50]], "runs": 10000, "master_seed": 1,
+        "rules": [{"rule": "pcr5"}, {"rule": "dempster"}, {"rule": "tcn", "tnorm": "min", "tconorm": "max"}],
+    }), encoding="utf-8")
+    assert main(["simulate", str(config), "--threads", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: subsets A|B and A_B share the column name m_A_B\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("has_affinity, expected", [(True, 1), (False, 3)])
 def test_simulate_defaults_to_the_cpus_it_may_run_on(workdir, tmp_path, monkeypatch, has_affinity, expected):
     # pinned to one CPU of several, the default must not fork onto CPUs it cannot use

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from evidfuse import (
     ConfigError,
     DecisionCriterion,
     FrameError,
+    FrameMismatchError,
     MonteCarloConfig,
     Rule,
     RuleConfig,
@@ -506,7 +508,7 @@ def simulation_outputs(draw, m):
     truth = cfg.scenario.expand()
     traces = [
         AveragedTrace(rule=rule, frame=frame, truth=truth,
-                      mean_masses=sparse_masses(draw, len(truth), frame.full_set),
+                      masses=sparse_masses(draw, len(truth), frame.size + 1),
                       correct_rate=sparse_masses(draw, len(truth), 1)[:, 0])
         for rule in cfg.rules
     ]
@@ -553,8 +555,8 @@ def test_csv_writers_match_on_a_4095_column_frame():
         master_seed=0,
     )
     truth = cfg.scenario.expand()
-    masses = np.zeros((3, frame.full_set))
-    masses[:, [0, 7, frame.full_set - 1]] = [[0.5, -0.0, 0.5], [1.0 / 3.0, 0.0, 2.0 / 3.0], [5e-324, 1.0, 0.0]]
+    masses = np.zeros((3, frame.size + 1))  # the singletons of labels 0 and 3 (subsets 1 and 8), the full set
+    masses[:, [0, 3, frame.size]] = [[0.5, -0.0, 0.5], [1.0 / 3.0, 0.0, 2.0 / 3.0], [5e-324, 1.0, 0.0]]
     traces = [AveragedTrace(cfg.rules[0], frame, truth, masses, np.array([1.0, 0.5, -0.0])),
               AveragedTrace(cfg.rules[1], frame, truth, np.zeros_like(masses), np.zeros(3))]
     text = traces_to_csv(cfg, traces)
@@ -562,6 +564,31 @@ def test_csv_writers_match_on_a_4095_column_frame():
     assert text == seed_fileio.traces_to_csv(cfg, traces)
     records = [TrackRecord(1, "a,b", MassFunction(frame, {1: 0.25, frame.full_set: 0.75}), "戦闘機")]
     assert track_records_to_csv(records, frame) == seed_fileio.track_records_to_csv(records, frame)
+
+
+@pytest.mark.parametrize("m, segments, rules", [
+    (2, ((0, 30), (1, 20)), ALL_RULE_CONFIGS),
+    (10, ((0, 3), (9, 2), (4, 1)), ALL_RULE_CONFIGS[:3]),
+    (16, ((15, 2),), [RuleConfig(Rule.PCR5)]),
+], ids=["M=2", "M=10", "M=16"])
+def test_engine_traces_write_the_bytes_of_the_dense_writers(m, segments, rules):
+    frame = make_frame(["L%d" % i for i in range(m)])
+    cfg = MonteCarloConfig(scenario=Scenario(frame, tuple(("L%d" % i, n) for i, n in segments)),
+                           confusion=uniform_diagonal_confusion(frame, 0.8), rules=tuple(rules),
+                           runs=8, master_seed=m)
+    traces = run_monte_carlo(cfg)
+    assert traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
+    for trace in traces:
+        assert trace_plot_data(trace) == seed_fileio.trace_plot_data(trace)
+
+
+def test_simulation_csv_refuses_a_trace_over_another_frame():
+    cfg = default_config(runs=8)
+    traces = run_monte_carlo(cfg)
+    traces[2] = replace(traces[2], frame=make_frame(["Cargo", "Fighter"]))
+    with pytest.raises(FrameMismatchError,
+                       match=r"^the trace of rule tcn\(bounded, max\) is not over the config's frame$"):
+        traces_to_csv(cfg, traces)
 
 
 def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():
@@ -593,9 +620,9 @@ def test_plot_data_matches_the_per_cell_writer_byte_for_byte(data, m):
     cfg, traces = data.draw(simulation_outputs(m))
     trace = traces[0]
     # any double may reach a singleton column here: NaN, infinities, -0.0, subnormals
-    singleton = trace.frame.singleton(data.draw(st.sampled_from(trace.frame.labels))) - 1
-    trace.mean_masses[:, singleton] = data.draw(st.lists(st.floats(), min_size=len(trace.truth),
-                                                         max_size=len(trace.truth)))
+    singleton = trace.frame.index(data.draw(st.sampled_from(trace.frame.labels)))
+    trace.masses[:, singleton] = data.draw(st.lists(st.floats(), min_size=len(trace.truth),
+                                                    max_size=len(trace.truth)))
     assert trace_plot_data(trace) == seed_fileio.trace_plot_data(trace)
 
 
@@ -607,7 +634,7 @@ def _write(writer, frame):
     cfg = MonteCarloConfig(scenario=Scenario(frame, ((frame.labels[0], 2),)),
                            confusion=uniform_diagonal_confusion(frame, 0.9),
                            rules=(RuleConfig(Rule.PCR5),), runs=1, master_seed=0)
-    trace = AveragedTrace(cfg.rules[0], frame, cfg.scenario.expand(), np.zeros((2, frame.full_set)), np.zeros(2))
+    trace = AveragedTrace(cfg.rules[0], frame, cfg.scenario.expand(), np.zeros((2, frame.size + 1)), np.zeros(2))
     if writer == "traces_to_csv":
         return traces_to_csv(cfg, [trace])
     if writer == "track_records_to_csv":
@@ -641,6 +668,6 @@ def test_writers_refuse_exactly_the_frames_that_repeat_a_column_name(labels, wri
 
 def test_plot_data_reads_the_singleton_columns():
     frame = make_frame(["A", "B", "C"])
-    masses = np.arange(1.0, 15.0).reshape(2, 7) / 16.0
+    masses = np.array([[1.0, 2.0, 4.0, 7.0], [8.0, 9.0, 11.0, 14.0]]) / 16.0  # A, B, C, then A|B|C
     trace = AveragedTrace(RuleConfig(Rule.PCR5), frame, ("A", "B"), masses, np.zeros(2))
     assert trace_plot_data(trace) == "# scan m_A m_B m_C\n1 0.0625 0.125 0.25\n2 0.5 0.5625 0.6875\n"

@@ -4,6 +4,7 @@ import hashlib
 import math
 import multiprocessing
 import re
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -513,12 +514,46 @@ def test_trace_mass_rejects_scans_outside_the_track(scan):
 
 
 def test_trace_mass_bounds_the_scan_by_the_rows_it_reads():
-    # truth and mean_masses are separate members; the scan indexes the rows
+    # a trace owns its shape: truth and the rows of masses have one entry per scan
     rows = np.full((5, 3), 1 / 3)
-    assert AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), (), rows, np.zeros(5)).mass(1, "Fighter") == 1 / 3
-    trace = AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), ("Fighter",) * 9, rows, np.zeros(5))
+    with pytest.raises(FrameError, match=r"^masses and correct_rate must have shapes \(9, 3\) and \(9,\), "
+                       r"got \(5, 3\) and \(5,\)$"):
+        AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), ("Fighter",) * 9, rows, np.zeros(5))
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), default_frame(), ("Fighter",) * 5, rows, np.zeros(5))
+    assert trace.mass(5, "Fighter") == 1 / 3
     with pytest.raises(FrameError, match=r"^scan 7 is outside 1\.\.5$"):
         trace.mass(7, "Fighter")
+
+
+@pytest.mark.parametrize("members", [("masses", "correct_rate"), ("truth",), ("masses",), ("correct_rate",)])
+def test_a_trace_cut_short_cannot_be_built(members):
+    # the writer once zipped the config's truth with a trace's rows, and a
+    # 100-scan config whose traces were cut to 7 rows wrote 44 lines
+    trace = run_monte_carlo(default_config(runs=8))[0]
+    with pytest.raises(FrameError, match=r"^masses and correct_rate must have shapes"):
+        replace(trace, **{member: getattr(trace, member)[:7] for member in members})
+
+
+@pytest.mark.parametrize("width", [2, 4, 7])
+def test_a_trace_holds_one_column_per_singleton_and_the_full_set(width):
+    with pytest.raises(FrameError, match=r"^masses and correct_rate must have shapes \(2, 3\) and \(2,\), "
+                       r"got \(2, %d\) and \(2,\)$" % width):
+        AveragedTrace(RuleConfig(Rule.PCR5), FC_FRAME, ("Cargo",) * 2, np.zeros((2, width)), np.zeros(2))
+
+
+def test_trace_mass_reads_the_reached_columns_and_zero_elsewhere():
+    frame = make_frame(["A", "B", "C"])
+    masses = np.array([[0.125, 0.25, 0.5, 0.125], [-0.0, 0.5, 0.25, 0.25]])
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), frame, ("A", "B"), masses, np.zeros(2))
+    dense = trace.mean_masses
+    assert dense.shape == (2, 7)
+    for bits in frame.nonempty_subsets():
+        for scan in (1, 2):
+            assert trace.mass(scan, bits) == dense[scan - 1, bits - 1]
+    assert dense[:, [0, 1, 3, 6]].tobytes() == masses.tobytes()
+    assert not np.delete(dense, [0, 1, 3, 6], axis=1).view(np.uint64).any()  # +0.0 everywhere else
+    assert trace.mass(2, "A|B") == 0.0 and trace.mass(2, "C") == 0.25 and trace.mass(2, "A|B|C") == 0.25
+    assert trace.singleton_series("B").tolist() == [0.25, 0.5]
 
 
 def test_trace_mass_rejects_a_bool_focal_set():
@@ -624,6 +659,23 @@ def test_largest_frame_csv_has_a_column_per_subset():
     cfg = largest_frame_config()
     header = traces_to_csv(cfg, run_monte_carlo(cfg)).split("\n")[1].split(",")
     assert sum(name.startswith("m_") for name in header) == 65535
+
+
+def test_engine_memory_does_not_grow_with_the_subsets():
+    # 16 labels have 65 535 subsets, but a trace keeps 17 columns: dense
+    # (rules, scans, 2^M - 1) means alone would take 21 MB here
+    frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
+    cfg = MonteCarloConfig(scenario=Scenario(frame, (("L0", 10), ("L15", 10))),
+                           confusion=uniform_diagonal_confusion(frame, 0.7),
+                           rules=(RuleConfig(Rule.DEMPSTER), RuleConfig(Rule.PCR5)), runs=32, master_seed=16)
+    tracemalloc.start()
+    try:
+        traces = run_monte_carlo(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert [trace.masses.shape for trace in traces] == [(20, 17)] * 2
 
 
 def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
@@ -841,17 +893,18 @@ def test_batch_engine_follows_the_underflow_bit_for_bit():
 # re-adaptation delays
 # ---------------------------------------------------------------------------
 
-def synthetic_trace(fighter_series, cargo_series):
+def synthetic_trace(scenario, fighter_series, cargo_series):
+    """A PCR5 trace of the scenario's truth whose singleton means are given."""
     n = len(fighter_series)
-    mean = np.zeros((n, 3))
-    mean[:, 0] = fighter_series
-    mean[:, 1] = cargo_series
-    mean[:, 2] = 1.0 - mean[:, 0] - mean[:, 1]
+    masses = np.zeros((n, 3))
+    masses[:, 0] = fighter_series
+    masses[:, 1] = cargo_series
+    masses[:, 2] = 1.0 - masses[:, 0] - masses[:, 1]
     return AveragedTrace(
         rule=RuleConfig(Rule.PCR5),
         frame=FC_FRAME,
-        truth=(),
-        mean_masses=mean,
+        truth=scenario.expand(),
+        masses=masses,
         correct_rate=np.zeros(n),
     )
 
@@ -860,7 +913,7 @@ def test_readaptation_delay_counts_from_switch_scan():
     scenario = Scenario(FC_FRAME, (("Cargo", 3), ("Fighter", 5)))
     fighter = [0.1, 0.1, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9]
     cargo = [0.8, 0.8, 0.8, 0.7, 0.5, 0.3, 0.1, 0.0]
-    delays = readaptation_delays(synthetic_trace(fighter, cargo), scenario)
+    delays = readaptation_delays(synthetic_trace(scenario, fighter, cargo), scenario)
     assert len(delays) == 1
     assert delays[0].switch_scan == 4
     assert delays[0].new_type == "Fighter"
@@ -870,7 +923,7 @@ def test_readaptation_delay_counts_from_switch_scan():
 def test_readaptation_delay_immediate_crossing():
     scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2)))
     delays = readaptation_delays(
-        synthetic_trace([0.1, 0.6, 0.7, 0.8], [0.8, 0.3, 0.2, 0.1]), scenario
+        synthetic_trace(scenario, [0.1, 0.6, 0.7, 0.8], [0.8, 0.3, 0.2, 0.1]), scenario
     )
     assert delays[0].delay == 1.0
 
@@ -878,7 +931,7 @@ def test_readaptation_delay_immediate_crossing():
 def test_readaptation_delay_never_crossing_is_inf():
     scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3)))
     delays = readaptation_delays(
-        synthetic_trace([0.1] * 5, [0.8] * 5), scenario
+        synthetic_trace(scenario, [0.1] * 5, [0.8] * 5), scenario
     )
     assert delays[0].delay == math.inf
 
@@ -888,7 +941,7 @@ def test_readaptation_delay_is_limited_to_the_new_segment():
     scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2), ("Cargo", 2)))
     fighter = [0.1, 0.1, 0.2, 0.3, 0.9, 0.9]
     cargo = [0.8, 0.8, 0.7, 0.6, 0.05, 0.05]
-    delays = readaptation_delays(synthetic_trace(fighter, cargo), scenario)
+    delays = readaptation_delays(synthetic_trace(scenario, fighter, cargo), scenario)
     assert delays[0].new_type == "Fighter"
     assert delays[0].delay == math.inf
 
@@ -904,15 +957,25 @@ def test_readaptation_delays_reject_a_scenario_of_another_length(segments):
 
 
 def test_readaptation_delays_reject_a_scenario_over_another_frame():
-    trace = synthetic_trace([0.1] * 5, [0.8] * 5)
+    trace = synthetic_trace(Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3))), [0.1] * 5, [0.8] * 5)
     scenario = Scenario(make_frame(["Cargo", "Fighter"]), (("Cargo", 2), ("Fighter", 3)))
     with pytest.raises(FrameMismatchError, match="is not the trace's"):
         readaptation_delays(trace, scenario)
 
 
+def test_readaptation_delays_reject_another_scenario_of_the_same_length():
+    # same frame, same 8 scans, but the truth of another track: its switch is not the trace's
+    cfg = replace(small_config(runs=8, rules=[RuleConfig(Rule.PCR5)]),
+                  scenario=Scenario(FC_FRAME, (("Cargo", 3), ("Fighter", 5))))
+    trace = run_monte_carlo(cfg)[0]
+    with pytest.raises(FrameMismatchError, match=r"^the scenario \(8 scans over \['Fighter', 'Cargo'\]\) "
+                       r"is not the trace's \(8 scans over \['Fighter', 'Cargo'\]\)$"):
+        readaptation_delays(trace, Scenario(FC_FRAME, (("Fighter", 3), ("Cargo", 5))))
+
+
 def test_readaptation_delay_threshold_parameter():
     scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 3)))
-    trace = synthetic_trace([0.1, 0.1, 0.3, 0.45, 0.6], [0.8, 0.8, 0.5, 0.3, 0.2])
+    trace = synthetic_trace(scenario, [0.1, 0.1, 0.3, 0.45, 0.6], [0.8, 0.8, 0.5, 0.3, 0.2])
     assert readaptation_delays(trace, scenario, threshold=0.5)[0].delay == 3.0
     assert readaptation_delays(trace, scenario, threshold=0.4)[0].delay == 2.0
 
