@@ -36,8 +36,6 @@ import json
 import re
 from typing import Sequence
 
-import numpy as np
-
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
 from .montecarlo import AveragedTrace, MonteCarloConfig, Scenario
@@ -289,16 +287,19 @@ def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
     # the columns of a trace's masses (its singletons, then its full set) and correct_rate
     live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
+    truth = cfg.scenario.expand()
     lines = [comment, _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])]
     for trace in traces:
         rule = trace.rule
         if trace.frame != cfg.frame:
             raise FrameMismatchError("the trace of rule %s is not over the config's frame" % rule.describe())
+        if trace.truth != truth:
+            raise FrameMismatchError("the trace of rule %s is not over the config's scenario" % rule.describe())
         tnorm = rule.tnorm.value if rule.tnorm is not None else ""
         tconorm = rule.tconorm.value if rule.tconorm is not None else ""
         labels = _csv_cells([rule.rule.value, tnorm, tconorm])
-        heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(trace.truth, 1)]
-        rows = np.column_stack((trace.masses, trace.correct_rate)).tolist()
+        heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(truth, 1)]
+        rows = [row + [rate] for row, rate in zip(trace.masses.tolist(), trace.correct_rate.tolist())]
         lines += _mass_lines(heads, rows, live, cfg.frame.full_set + 1)
     return "\n".join(lines) + "\n"
 
@@ -312,10 +313,10 @@ def rule_file_tag(cfg: RuleConfig) -> str:
 
 def trace_plot_data(trace: AveragedTrace) -> str:
     """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
-    labels = trace.frame.labels
+    m = trace.frame.size
     names, _ = _subset_columns(trace.frame)
-    series = np.column_stack([trace.singleton_series(label) for label in labels])
-    lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(len(labels)))]
-    template = " ".join(["{}"] + [_MASS_FIELD] * len(labels))
-    lines += [template.format(k, *row) for k, row in enumerate(series.tolist(), 1)]
+    lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(m))]
+    template = " ".join(["{}"] + [_MASS_FIELD] * m)
+    # columns i < M of a trace's masses are the singletons, in label order
+    lines += [template.format(k, *row[:m]) for k, row in enumerate(trace.masses.tolist(), 1)]
     return "\n".join(lines) + "\n"

@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from operator import add, mul
 
-import numpy as np
-
 
 class TNorm(enum.Enum):
     """Shipped t-norm variants; values are the CLI spellings."""
@@ -56,23 +54,3 @@ TCONORM_FUNCS = {
     TConorm.MAX: _max,
     TConorm.SUM: add,
 }
-
-
-def _bounded_product_array(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(0.0, x + y - 1.0, out=out)
-
-
-# Elementwise forms of the tables above for the batch simulation engine; each
-# performs the same IEEE operations as its scalar entry, so results match bit
-# for bit on finite inputs in [0, 1], and takes the ufunc ``out`` argument.
-TNORM_ARRAYS = {
-    TNorm.MIN: np.minimum,
-    TNorm.PRODUCT: np.multiply,
-    TNorm.BOUNDED: _bounded_product_array,
-}
-
-TCONORM_ARRAYS = {
-    TConorm.MAX: np.maximum,
-    TConorm.SUM: np.add,
-}
-

@@ -6,11 +6,11 @@ for byte, on any machine. The generator here is splitmix64 (Steele, Lea &
 Flood's SplittableRandom recurrence): state advances by a fixed odd constant
 and the output is an avalanche mix of the state. It is trivially portable --
 a dozen integer operations -- and statistically solid for this workload.
+The batch engine, :mod:`evidfuse.engine`, draws the same streams in closed
+form over numpy arrays.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -19,14 +19,6 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _MIX_MULT_1 = 0xBF58476D1CE4E5B9
 _MIX_MULT_2 = 0x94D049BB133111EB
-
-# The array path holds every operand as an ``np.uint64``, so its arithmetic
-# wraps modulo 2**64 and no numpy promotion rule (which changed between 1.x
-# and 2.x for Python ints) takes part; no mask is needed.
-_GAMMA_U64 = np.uint64(GOLDEN_GAMMA)
-_MULT_1_U64 = np.uint64(_MIX_MULT_1)
-_MULT_2_U64 = np.uint64(_MIX_MULT_2)
-_U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
 
 
 def mix64(value: int) -> int:
@@ -37,12 +29,6 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _MULT_1_U64
-    z = (z ^ (z >> _U27)) * _MULT_2_U64
-    return z ^ (z >> _U31)
-
-
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Per-run seed: avalanche of master_seed offset by run_index gammas.
 
@@ -50,17 +36,6 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     (the mix is a bijection of the 64-bit offsets).
     """
     return mix64((master_seed + run_index * GOLDEN_GAMMA) & _MASK64)
-
-
-def run_floats(master_seed: int, start: int, stop: int, draws: int) -> np.ndarray:
-    """``[r, k]`` is draw ``k + 1`` of ``SplitMix64(derive_run_seed(master_seed,
-    start + r)).next_float()``: run i's seed is ``mix64(master_seed + i * GOLDEN_GAMMA)``
-    and draw k of a stream seeded s is ``mix64(s + k * GOLDEN_GAMMA)``: two array mixes."""
-    offsets = np.arange(start, stop, dtype=np.uint64) * _GAMMA_U64
-    seeds = _mix64_array(np.uint64(master_seed & _MASK64) + offsets)
-    steps = np.arange(1, draws + 1, dtype=np.uint64) * _GAMMA_U64
-    bits = _mix64_array(seeds[:, None] + steps) >> _U11
-    return bits.astype(np.float64) * 2.0**-53
 
 
 class SplitMix64:

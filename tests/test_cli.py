@@ -19,7 +19,7 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
-from evidfuse import cli, montecarlo
+from evidfuse import cli, engine
 from evidfuse.cli import main
 from evidfuse.fileio import load_simulation_config, track_records_to_csv
 
@@ -285,9 +285,9 @@ def test_simulate_repeats_are_byte_identical(workdir, tmp_path):
 def test_simulate_thread_count_does_not_change_output(workdir, tmp_path, monkeypatch):
     # one 32-run block per slab: the fixture's 64 runs are two slabs, so
     # "--threads 4" maps them over a real pool of two processes
-    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)
+    monkeypatch.setattr(engine, "_SLAB_BYTES", 1)
     cfg = load_simulation_config(path(workdir, "sim.json"))
-    assert len(range(0, cfg.runs, montecarlo._slab_runs(cfg))) == 2  # slab starts
+    assert len(range(0, cfg.runs, engine._slab_runs(cfg))) == 2  # slab starts
     started = []
 
     class Pool(ProcessPoolExecutor):
@@ -295,7 +295,7 @@ def test_simulate_thread_count_does_not_change_output(workdir, tmp_path, monkeyp
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / ("t%s.csv" % threads)

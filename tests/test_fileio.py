@@ -591,6 +591,18 @@ def test_simulation_csv_refuses_a_trace_over_another_frame():
         traces_to_csv(cfg, traces)
 
 
+@pytest.mark.parametrize("cut", [slice(7), slice(None, None, -1)], ids=["seven-scans", "reversed"])
+def test_simulation_csv_refuses_a_trace_over_another_scenario(cut):
+    # a whole trace, cut consistently to 7 scans, once wrote 44 lines for a 100-scan config
+    cfg = default_config(runs=8)
+    traces = run_monte_carlo(cfg)
+    trace = traces[4]
+    traces[4] = replace(trace, truth=trace.truth[cut], masses=trace.masses[cut], correct_rate=trace.correct_rate[cut])
+    with pytest.raises(FrameMismatchError,
+                       match=r"^the trace of rule tcn\(min, sum\) is not over the config's scenario$"):
+        traces_to_csv(cfg, traces)
+
+
 def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():
     cfg = MonteCarloConfig(
         scenario=Scenario(FC_FRAME, (("Cargo", 2),)),

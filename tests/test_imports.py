@@ -1,0 +1,54 @@
+"""The scalar library starts without numpy or a process pool: only the batch
+engine of ``run_monte_carlo`` loads them, on its first call."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Modules that only the batch engine needs.
+ENGINE_ONLY = ("numpy", "multiprocessing", "concurrent.futures.process")
+
+
+def loaded_after(tmp_path, body):
+    """The ENGINE_ONLY modules loaded once ``body`` has run in a fresh
+    isolated interpreter, with the package imported from the checkout."""
+    script = "\n".join([
+        "import json, sys",
+        "sys.path.insert(0, %r)" % str(ROOT / "src"),
+        body,
+        "print(json.dumps([name for name in %r if name in sys.modules]))" % (ENGINE_ONLY,),
+    ])
+    done = subprocess.run([sys.executable, "-I", "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_loading_combining_fusing_and_tracking_load_no_engine_module(tmp_path):
+    masses = {"frame": ["Fighter", "Cargo"], "masses": {"Fighter": 0.6, "Fighter|Cargo": 0.4}}
+    (tmp_path / "a.json").write_text(json.dumps(masses), encoding="utf-8")
+    (tmp_path / "b.json").write_text(json.dumps(dict(masses, masses={"Cargo": 0.7, "Fighter|Cargo": 0.3})),
+                                     encoding="utf-8")
+    (tmp_path / "cm.json").write_text(json.dumps({"frame": ["Fighter", "Cargo"],
+                                                  "matrix": [[0.9, 0.1], [0.1, 0.9]]}), encoding="utf-8")
+    (tmp_path / "decls.txt").write_text("Fighter\nCargo\nCargo\n", encoding="utf-8")
+    body = "\n".join([
+        "import evidfuse, evidfuse.cli",
+        "from evidfuse.fileio import load_mass_function, load_simulation_config",
+        "load_simulation_config(%r)" % str(ROOT / "configs" / "default.json"),
+        "m1, m2 = load_mass_function('a.json'), load_mass_function('b.json')",
+        "for rule in evidfuse.default_rules():",
+        "    evidfuse.combine(rule, m1, m2)",
+        "assert evidfuse.cli.main(['fuse', 'a.json', 'b.json', '--rule', 'pcr5']) == 0",
+        "assert evidfuse.cli.main(['track', 'decls.txt', '--confusion', 'cm.json', '--rule', 'tcn',",
+        "                          '--tnorm', 'min', '--tconorm', 'max', '-o', 'trace.csv']) == 0",
+    ])
+    assert loaded_after(tmp_path, body) == []
+    assert (tmp_path / "trace.csv").read_text(encoding="utf-8").count("\n") == 5
+
+
+def test_a_simulation_loads_numpy(tmp_path):
+    body = "import evidfuse\nevidfuse.run_monte_carlo(evidfuse.default_config(runs=8))"
+    assert "numpy" in loaded_after(tmp_path, body)

@@ -51,7 +51,7 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
-from evidfuse import core, montecarlo
+from evidfuse import core, engine, montecarlo
 from evidfuse.cli import main
 from evidfuse.fileio import traces_to_csv
 from evidfuse.montecarlo import DEFAULT_SEGMENTS
@@ -243,7 +243,7 @@ def sampling_configs(draw):
 @given(cfg=sampling_configs(), start=st.integers(0, 64) | st.integers(2**64 - 64, 2**64 - 33),
        runs=st.integers(1, 32))
 def test_block_declarations_match_sample_decision(cfg, start, runs):
-    drawn = montecarlo._declarations(cfg, start, start + runs)
+    drawn = engine._declarations(cfg, start, start + runs)
     assert drawn.tolist() == scalar_declarations(cfg, start, start + runs)
 
 
@@ -275,8 +275,8 @@ def test_block_declarations_fall_through_to_the_last_label(monkeypatch):
     sums = [sum([0.1] * k) for k in range(1, 11)]
     draws = [0.0, 0.5, 1.0 - 2**-53, 2**-53] + sums
     u = np.array([[d, d] for d in draws])
-    monkeypatch.setattr(montecarlo, "run_floats", lambda *args: u)
-    drawn = montecarlo._declarations(cfg, 0, len(draws))
+    monkeypatch.setattr(engine, "run_floats", lambda *args: u)
+    drawn = engine._declarations(cfg, 0, len(draws))
     expected = [[frame.index(sample_decision(t, cfg.confusion, FixedDraws(row))) for t in ("L0", "L1")]
                 for row in u.tolist()]
     assert drawn.tolist() == expected
@@ -376,10 +376,10 @@ def test_trace_accessors():
     assert series.shape == (100,)
 
 
-@pytest.mark.parametrize("slab_bytes", [montecarlo._SLAB_BYTES, 1], ids=["one-slab", "slab-per-block"])
+@pytest.mark.parametrize("slab_bytes", [engine._SLAB_BYTES, 1], ids=["one-slab", "slab-per-block"])
 @pytest.mark.parametrize("workers", [0, -1, True, 1.5, "2"])
 def test_worker_count_must_be_a_positive_integer(monkeypatch, workers, slab_bytes):
-    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(engine, "_SLAB_BYTES", slab_bytes)
     with pytest.raises(ConfigError, match=r"^workers must be a positive integer, got %s$" % re.escape(repr(workers))):
         run_monte_carlo(small_config(runs=70), workers=workers)
 
@@ -402,10 +402,10 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
 
     cfg = small_config(runs=70)  # three blocks, which fit one slab: no pool
     inline = run_monte_carlo(cfg, workers=1)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
     run_monte_carlo(cfg, workers=8)
     assert started == []
-    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)  # one block per slab
+    monkeypatch.setattr(engine, "_SLAB_BYTES", 1)  # one block per slab
     pooled = run_monte_carlo(cfg, workers=8)
     assert started == [3]
     for a, b in zip(inline, pooled):
@@ -415,16 +415,16 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
 
 def test_slab_holds_whole_blocks_within_its_byte_budget():
     cfg = default_config()  # 100 scans, 6 rules, M = 2: 460 800 store bytes per block
-    assert montecarlo._slab_runs(cfg) == 18 * montecarlo.CHUNK_RUNS
+    assert engine._slab_runs(cfg) == 18 * montecarlo.CHUNK_RUNS
     frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
     long_track = MonteCarloConfig(  # one block alone holds 10.4 MB: a slab is still one block
         scenario=Scenario(frame, (("L0", 400),)), confusion=uniform_diagonal_confusion(frame, 0.7),
         rules=default_rules(), runs=100, master_seed=1)
-    assert montecarlo._slab_runs(long_track) == montecarlo.CHUNK_RUNS
-    slab = montecarlo._run_block(cfg, 0, 70)  # a slab's blocks, each summed on its own
+    assert engine._slab_runs(long_track) == montecarlo.CHUNK_RUNS
+    slab = engine._run_block(cfg, 0, 70)  # a slab's blocks, each summed on its own
     assert len(slab) == 3
     for (mass_sums, correct), start in zip(slab, (0, 32, 64)):
-        alone, = montecarlo._run_block(cfg, start, min(start + 32, 70))
+        alone, = engine._run_block(cfg, start, min(start + 32, 70))
         assert mass_sums.tobytes() == alone[0].tobytes()
         assert correct.tobytes() == alone[1].tobytes()
 
@@ -461,8 +461,8 @@ def ten_label_pignistic_config():
     (ten_label_pignistic_config(), None),
 ], ids=["output", "first-failure", "ten-labels"])
 def test_real_pool_over_slabs_matches_one_worker(monkeypatch, cfg, error):
-    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)  # three one-block slabs, two workers
-    assert montecarlo._slab_runs(cfg) == montecarlo.CHUNK_RUNS
+    monkeypatch.setattr(engine, "_SLAB_BYTES", 1)  # three one-block slabs, two workers
+    assert engine._slab_runs(cfg) == montecarlo.CHUNK_RUNS
     expected = outcome(run_monte_carlo, cfg, workers=1)
     assert outcome(run_monte_carlo, cfg, workers=2) == expected
     assert expected[1].startswith(error) if error else isinstance(expected, list)
@@ -475,7 +475,7 @@ def test_real_pool_under_other_start_methods_matches_one_worker(monkeypatch, met
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip("start method %s is not available here" % method)
     context = multiprocessing.get_context(method)
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
     test_real_pool_over_slabs_matches_one_worker(monkeypatch, ten_label_pignistic_config(), None)
 
 
@@ -532,6 +532,14 @@ def test_a_trace_cut_short_cannot_be_built(members):
     trace = run_monte_carlo(default_config(runs=8))[0]
     with pytest.raises(FrameError, match=r"^masses and correct_rate must have shapes"):
         replace(trace, **{member: getattr(trace, member)[:7] for member in members})
+
+
+def test_a_trace_names_a_truth_label_outside_its_frame():
+    # the CSV writer looks each truth label up in the frame's cells; an
+    # unknown one raised a bare KeyError there
+    trace = run_monte_carlo(default_config(runs=8))[0]
+    with pytest.raises(FrameError, match=r"^truth\[3\]: unknown label 'Tank' \(frame is \['Fighter', 'Cargo'\]\)$"):
+        replace(trace, truth=trace.truth[:3] + ("Tank",) * 97)
 
 
 @pytest.mark.parametrize("width", [2, 4, 7])
@@ -680,7 +688,7 @@ def test_engine_memory_does_not_grow_with_the_subsets():
 
 def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
     # the two gates above, unedited, with every engine sum on the array path
-    monkeypatch.setattr(montecarlo, "_EXACT_SUM_MIN_ROWS", 1)
+    monkeypatch.setattr(engine, "_EXACT_SUM_MIN_ROWS", 1)
     test_default_config_output_is_pinned(tmp_path)
     test_batch_engine_matches_scalar_loop_bit_for_bit()
 
@@ -746,18 +754,18 @@ def fsum_outcome(sums, rows):
 @example(rows=[(x, *CANCELLING, d) for x in (2.0**-1021, 2.0**-1022) for d in (0.0, 5e-324, -5e-324)], n=0)  # tiny
 def test_exact_sum_is_fsum_of_each_row(rows, n):
     # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
-    n = {1: 1, -1: montecarlo._EXACT_SUM_MIN_ROWS - 1, 0: montecarlo._EXACT_SUM_MIN_ROWS}.get(n, n)
+    n = {1: 1, -1: engine._EXACT_SUM_MIN_ROWS - 1, 0: engine._EXACT_SUM_MIN_ROWS}.get(n, n)
     rows = [rows[i % len(rows)] for i in range(n)]
     expected = fsum_outcome(lambda a: [math.fsum(row) for row in a.tolist()], rows)
-    assert fsum_outcome(montecarlo._exact_sum, rows) == expected
+    assert fsum_outcome(engine._exact_sum, rows) == expected
 
 
 def test_exact_sum_certifies_ties_when_the_error_sum_is_exact(monkeypatch):
     # no tie row reaches fsum: every error the trees leave is exact
     calls = []
-    monkeypatch.setattr(montecarlo, "fsum", lambda row: calls.append(row) or math.fsum(row))
-    rows = np.array([TIE] * montecarlo._EXACT_SUM_MIN_ROWS)
-    assert montecarlo._exact_sum(rows).tolist() == [math.fsum(TIE)] * len(rows)
+    monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    rows = np.array([TIE] * engine._EXACT_SUM_MIN_ROWS)
+    assert engine._exact_sum(rows).tolist() == [math.fsum(TIE)] * len(rows)
     assert calls == []
     exact, rounded = sum(map(Fraction, TIE)), Fraction(math.fsum(TIE))
     assert abs(exact - rounded) == Fraction(float(np.spacing(math.fsum(TIE)))) / 2  # a tie
@@ -766,8 +774,8 @@ def test_exact_sum_certifies_ties_when_the_error_sum_is_exact(monkeypatch):
 def test_certificate_decides_most_rows_of_the_default_slab(monkeypatch):
     # a certificate that certifies nothing still returns fsum's bits, only slower
     calls = []
-    monkeypatch.setattr(montecarlo, "fsum", lambda row: calls.append(row) or math.fsum(row))
-    montecarlo._run_block(default_config(runs=576), 0, 576)
+    monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    engine._run_block(default_config(runs=576), 0, 576)
     tree_rows = 2 * 100 * 6 * 576  # two sums per scan, each of 3456 rows (over _EXACT_SUM_MIN_ROWS)
     assert len(calls) < 0.1 * tree_rows  # about 6 %
 
@@ -801,12 +809,12 @@ def test_vanishing_tcn_consensus_names_run_rule_and_scan():
 def test_lane_that_fails_only_the_output_audit_is_an_internal_error(monkeypatch):
     # no lane reaches its floor, but every posterior fails a negative tolerance;
     # the scalar tracker reads core's own tolerance and accepts run 0
-    monkeypatch.setattr(montecarlo, "SUM_TOLERANCE", -1.0)
+    monkeypatch.setattr(engine, "SUM_TOLERANCE", -1.0)
     with pytest.raises(RuntimeError, match=r"^internal error: the batch engine flagged run 0, rule dempster, "):
         run_monte_carlo(default_config(runs=40))
     flagged = []
-    monkeypatch.setattr(montecarlo, "_replay_first_failure", lambda *args: flagged.append(args[3]))
-    montecarlo._run_block(default_config(runs=40), 0, 40)
+    monkeypatch.setattr(engine, "_replay_first_failure", lambda *args: flagged.append(args[3]))
+    engine._run_block(default_config(runs=40), 0, 40)
     assert flagged[0].shape == (6, 40) and flagged[0].all()  # every rule and run, in both blocks
 
 
@@ -817,7 +825,7 @@ AUDIT_FAILURE = "run 0, rule dempster: scan 1: dempster_combine: output masses s
 def test_lane_that_fails_the_output_audit_raises_the_scalar_error(monkeypatch, tmp_path, capsys):
     # the engine and the scalar tracker both read a negative tolerance
     monkeypatch.setattr(core, "SUM_TOLERANCE", -1.0)
-    monkeypatch.setattr(montecarlo, "SUM_TOLERANCE", -1.0)
+    monkeypatch.setattr(engine, "SUM_TOLERANCE", -1.0)
     with pytest.raises(MassFunctionError, match="^%s$" % re.escape(AUDIT_FAILURE)):
         run_monte_carlo(default_config(runs=40))
     out = tmp_path / "x.csv"
@@ -828,7 +836,7 @@ def test_lane_that_fails_the_output_audit_raises_the_scalar_error(monkeypatch, t
 
 
 def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(montecarlo, "run_track", lambda *args: [])
+    monkeypatch.setattr(engine, "run_track", lambda *args: [])
     with pytest.raises(RuntimeError, match=r"internal error: .* run 0, rule tcn\(bounded, max\)"):
         run_monte_carlo(vanishing_config())
 
@@ -837,7 +845,7 @@ def test_flagged_lane_the_scalar_tracker_accepts_is_an_internal_error(monkeypatc
 def test_every_floor_is_below_the_output_audits_lower_bound(rule):
     # the engine leaves a lane at or below its floor unnormalized, for the audit to fail
     floor = rule.fusion[2]
-    assert floor is None or floor < 1.0 - montecarlo.SUM_TOLERANCE
+    assert floor is None or floor < 1.0 - engine.SUM_TOLERANCE
 
 
 #: First scan at which Dempster's m(full set) is exactly 0 on a track that

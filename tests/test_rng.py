@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidfuse import SplitMix64, derive_run_seed, mix64
-from evidfuse.rng import run_floats
+from evidfuse.engine import run_floats
 
 # Known-answer vectors, frozen from an independent implementation of the
 # published splitmix64 recurrence.
