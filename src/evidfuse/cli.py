@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from dataclasses import replace
+from typing import Iterable
 
 from .core import DecisionCriterion, MassFunction, conjunctive_consensus
 from .errors import (
@@ -42,7 +43,7 @@ from .fileio import (
     mass_function_to_json,
     rule_file_tag,
     trace_plot_data,
-    traces_to_csv,
+    traces_csv_blocks,
     track_records_to_csv,
 )
 from .montecarlo import run_monte_carlo
@@ -80,9 +81,10 @@ def _rule_from_args(args: argparse.Namespace) -> RuleConfig:
         raise ConfigError(re.sub(r"\b(rule|tnorm|tconorm)\b", r"--\1", str(exc))) from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_blocks(path: str, blocks: Iterable[str]) -> None:
+    """Write each block to the file as it comes, so one block is held at a time."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +145,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     declarations = load_declarations(args.declarations, confusion.frame)
     criterion = DecisionCriterion(args.criterion)
     records = run_track(declarations, confusion, cfg, criterion)
-    _write_text(args.output, track_records_to_csv(records, confusion.frame))
+    _write_blocks(args.output, [track_records_to_csv(records, confusion.frame)])
     return 0
 
 
@@ -158,7 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
 
-    _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
+    columns = _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -166,13 +168,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         traces = run_monte_carlo(cfg, workers=workers)
     except ConfigError as exc:  # spell the field as the flag that sets it
         raise ConfigError(re.sub(r"\bworkers\b", "--threads", str(exc))) from None
-    _write_text(args.output, traces_to_csv(cfg, traces))
+    _write_blocks(args.output, traces_csv_blocks(cfg, traces, columns))
 
     if args.plot_data is not None:
         os.makedirs(args.plot_data, exist_ok=True)
         for rule, trace in zip(cfg.rules, traces):
             path = os.path.join(args.plot_data, rule_file_tag(rule) + ".dat")
-            _write_text(path, trace_plot_data(trace))
+            _write_blocks(path, [trace_plot_data(trace, columns)])
     return 0
 
 

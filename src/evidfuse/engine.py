@@ -19,7 +19,10 @@ all its declarations at once from the closed form of the streams
 :func:`~evidfuse.montecarlo.sample_decision`, the scalar reference.
 :func:`run_slabs` runs the slabs inline, and maps them over a process pool of
 at most ``workers`` processes only when there are two or more slabs: a run
-count that fits one slab never forks.
+count that fits one slab never forks. The pool's modules
+(``concurrent.futures.process`` and ``multiprocessing``) are imported only
+when a pool starts, so a simulation on one worker or of one slab never loads
+them.
 
 Batch engine. A slab tracks every rule on every one of its runs at once, in
 ``(M + 1, rules, runs)`` arrays: plane ``i < M`` is the singleton of label
@@ -77,7 +80,6 @@ rule and scan context.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, chain, groupby, repeat
 from math import fsum
 
@@ -331,6 +333,8 @@ def run_slabs(cfg: MonteCarloConfig, workers: int) -> list[AveragedTrace]:
     starts = range(0, cfg.runs, step)
     stops = [min(start + step, cfg.runs) for start in starts]
     if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             slabs = list(pool.map(_run_block, repeat(cfg), starts, stops))
     else:

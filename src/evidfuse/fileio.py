@@ -24,7 +24,11 @@ which two subsets get the same column name (["A", "B", "A_B"] names both A|B
 and A_B "m_A_B") cannot be written and raises a FrameError. Writers format
 only the columns a track reaches (-0.0 prints as -0) and join the zeros
 between them once: the bytes of formatting every cell, at a cost that grows
-with the reached columns, not with the 2^M - 1 subsets.
+with the reached columns, not with the 2^M - 1 subsets. The simulation CSV
+streams: :func:`traces_csv_blocks` checks every trace on the call and then
+formats one block of lines per trace, which the CLI writes as it comes, so a
+writer holds one trace's lines, not the whole file; :func:`traces_to_csv` is
+the same blocks joined.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ import enum
 import io
 import json
 import re
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError
@@ -281,27 +286,41 @@ def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str:
-    """Averaged-trace CSV, one row per (rule, scan), in rule order then scan."""
-    names, comment = _subset_columns(cfg.frame)
+def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace],
+                      columns: tuple[list[str], str] | None = None) -> Iterator[str]:
+    """Averaged-trace CSV in blocks of whole lines: the column comment and the
+    header, then one block per trace, one row per (rule, scan), in rule order
+    then scan. Every trace is checked against ``cfg`` by the call itself,
+    before any block is formatted, so a caller that opens its file after the
+    call leaves no file for a refused trace. ``columns`` is
+    ``_subset_columns(cfg.frame)``, passed by a caller that already built it."""
+    names, comment = columns or _subset_columns(cfg.frame)
+    truth = cfg.scenario.expand()
+    for trace in traces:
+        if trace.frame != cfg.frame:
+            raise FrameMismatchError("the trace of rule %s is not over the config's frame" % trace.rule.describe())
+        if trace.truth != truth:
+            raise FrameMismatchError("the trace of rule %s is not over the config's scenario" % trace.rule.describe())
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
     # the columns of a trace's masses (its singletons, then its full set) and correct_rate
     live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
-    truth = cfg.scenario.expand()
-    lines = [comment, _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])]
-    for trace in traces:
+    header = _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])
+
+    def block(trace: AveragedTrace) -> str:
         rule = trace.rule
-        if trace.frame != cfg.frame:
-            raise FrameMismatchError("the trace of rule %s is not over the config's frame" % rule.describe())
-        if trace.truth != truth:
-            raise FrameMismatchError("the trace of rule %s is not over the config's scenario" % rule.describe())
         tnorm = rule.tnorm.value if rule.tnorm is not None else ""
         tconorm = rule.tconorm.value if rule.tconorm is not None else ""
         labels = _csv_cells([rule.rule.value, tnorm, tconorm])
         heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(truth, 1)]
         rows = [row + [rate] for row, rate in zip(trace.masses.tolist(), trace.correct_rate.tolist())]
-        lines += _mass_lines(heads, rows, live, cfg.frame.full_set + 1)
-    return "\n".join(lines) + "\n"
+        return "\n".join(_mass_lines(heads, rows, live, cfg.frame.full_set + 1)) + "\n"
+
+    return chain(["%s\n%s\n" % (comment, header)], map(block, traces))
+
+
+def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str:
+    """The :func:`traces_csv_blocks` joined: the whole CSV as one string."""
+    return "".join(traces_csv_blocks(cfg, traces))
 
 
 def rule_file_tag(cfg: RuleConfig) -> str:
@@ -311,10 +330,11 @@ def rule_file_tag(cfg: RuleConfig) -> str:
     return cfg.rule.value
 
 
-def trace_plot_data(trace: AveragedTrace) -> str:
-    """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
+def trace_plot_data(trace: AveragedTrace, columns: tuple[list[str], str] | None = None) -> str:
+    """Gnuplot-ready columns: scan, then the mean mass of every singleton.
+    ``columns`` is ``_subset_columns(trace.frame)``, if the caller has it."""
     m = trace.frame.size
-    names, _ = _subset_columns(trace.frame)
+    names, _ = columns or _subset_columns(trace.frame)
     lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(m))]
     template = " ".join(["{}"] + [_MASS_FIELD] * m)
     # columns i < M of a trace's masses are the singletons, in label order

@@ -16,9 +16,9 @@ bit-identical however the blocks are computed and on how many processes.
 This module holds the model: the scenario, the config, the averaged trace,
 the scalar sampler and the re-adaptation delays. :func:`run_monte_carlo`
 hands the runs to the batch engine, :mod:`evidfuse.engine`, which it imports
-on its first call, so numpy and the process pool load only when a simulation
-runs; the engine's docstring states how runs are cut into slabs and the
-bitwise contract with the scalar tracker.
+on its first call, so numpy loads only when a simulation runs, and the
+process pool only when one starts; the engine's docstring states how runs are
+cut into slabs and the bitwise contract with the scalar tracker.
 """
 
 from __future__ import annotations

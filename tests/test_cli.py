@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from evidfuse import (
     sample_decision,
     uniform_diagonal_confusion,
 )
-from evidfuse import cli, engine
+from evidfuse import cli, engine, fileio
 from evidfuse.cli import main
 from evidfuse.fileio import load_simulation_config, track_records_to_csv
 
@@ -295,7 +296,7 @@ def test_simulate_thread_count_does_not_change_output(workdir, tmp_path, monkeyp
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
     outputs = []
     for threads in ("1", "4"):
         out = tmp_path / ("t%s.csv" % threads)
@@ -433,6 +434,40 @@ def test_a_frame_whose_subsets_share_a_column_name_fails_before_the_simulation(t
     assert main(["simulate", str(config), "--threads", "1", "-o", str(out)]) == 2
     assert capsys.readouterr().err == "error: subsets A|B and A_B share the column name m_A_B\n"
     assert not out.exists()
+
+
+def test_simulate_refuses_a_trace_over_another_scenario_before_opening_its_output(workdir, tmp_path, capsys,
+                                                                                 monkeypatch):
+    real = cli.run_monte_carlo
+
+    def simulate(cfg, workers):
+        traces = real(cfg, workers)
+        trace = traces[-1]  # reversed: Fighter 3 / Cargo 4 under Cargo 4 / Fighter 3
+        traces[-1] = replace(trace, truth=trace.truth[::-1], masses=trace.masses[::-1],
+                             correct_rate=trace.correct_rate[::-1])
+        return traces
+
+    monkeypatch.setattr(cli, "run_monte_carlo", simulate)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the trace of rule tcn(min, max) is not over the config's scenario\n"
+    assert not out.exists()
+
+
+def test_simulate_builds_the_column_names_once(workdir, tmp_path, monkeypatch):
+    built = []
+
+    def columns(frame):
+        built.append(frame)
+        return real(frame)
+
+    real = fileio._subset_columns
+    monkeypatch.setattr(fileio, "_subset_columns", columns)
+    monkeypatch.setattr(cli, "_subset_columns", columns)
+    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1", "--plot-data",
+                 str(tmp_path / "plots"), "-o", str(tmp_path / "x.csv")]) == 0
+    assert len(built) == 1
+    assert len(list((tmp_path / "plots").iterdir())) == 3
 
 
 @pytest.mark.parametrize("has_affinity, expected", [(True, 1), (False, 3)])

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,14 +27,17 @@ from evidfuse import (
     TConorm,
     TNorm,
     default_config,
+    default_rules,
     make_bba,
     make_frame,
     run_monte_carlo,
     run_track,
     uniform_diagonal_confusion,
 )
+from evidfuse import cli
 from evidfuse.core import MassFunction
 from evidfuse.fileio import (
+    _subset_columns,
     format_mass,
     frame_from_json,
     load_confusion,
@@ -45,6 +49,7 @@ from evidfuse.fileio import (
     sanitize_column,
     simulation_config_to_json,
     trace_plot_data,
+    traces_csv_blocks,
     traces_to_csv,
     track_records_to_csv,
 )
@@ -601,6 +606,53 @@ def test_simulation_csv_refuses_a_trace_over_another_scenario(cut):
     with pytest.raises(FrameMismatchError,
                        match=r"^the trace of rule tcn\(min, sum\) is not over the config's scenario$"):
         traces_to_csv(cfg, traces)
+
+
+def test_simulation_csv_blocks_are_the_header_then_one_block_per_trace():
+    cfg = default_config(runs=8)
+    traces = run_monte_carlo(cfg)
+    blocks = list(traces_csv_blocks(cfg, traces))
+    assert [block.count("\n") for block in blocks] == [2] + [100] * 6
+    assert all(block.endswith("\n") for block in blocks)
+    assert "".join(blocks) == traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
+    assert list(traces_csv_blocks(cfg, traces, _subset_columns(cfg.frame))) == blocks
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("frame", make_frame(["Cargo", "Fighter"]), "frame"),
+    ("truth", ("Fighter",) * 100, "scenario"),
+])
+def test_simulation_csv_blocks_check_every_trace_on_the_call(field, value, message):
+    # a writer that opens its file after the call leaves no file for a refused trace
+    cfg = default_config(runs=8)
+    traces = run_monte_carlo(cfg)
+    traces[-1] = replace(traces[-1], **{field: value})
+    with pytest.raises(FrameMismatchError,
+                       match=r"^the trace of rule tcn\(product, sum\) is not over the config's %s$" % message):
+        traces_csv_blocks(cfg, traces)
+
+
+def test_simulation_csv_streams_one_trace_at_a_time(tmp_path):
+    # at 16 labels each trace is a 2.6 MB block of 20 rows of 65 541 cells: the
+    # writer's peak must not grow with the number of traces it writes
+    frame = make_frame(["L%d" % i for i in range(16)])
+    cfg = MonteCarloConfig(scenario=Scenario(frame, (("L0", 10), ("L15", 10))),
+                           confusion=uniform_diagonal_confusion(frame, 0.9), rules=default_rules(),
+                           runs=1, master_seed=0)
+    truth = cfg.scenario.expand()
+    traces = [AveragedTrace(rule, frame, truth, np.full((20, 17), 1 / 17), np.full(20, 0.5))
+              for rule in cfg.rules]
+    columns = _subset_columns(frame)
+    peaks = []
+    for count in (1, 6):
+        tracemalloc.start()
+        try:
+            cli._write_blocks(str(tmp_path / "x.csv"), traces_csv_blocks(cfg, traces[:count], columns))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == traces_to_csv(cfg, traces)
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():

@@ -1,10 +1,14 @@
 """The scalar library starts without numpy or a process pool: only the batch
-engine of ``run_monte_carlo`` loads them, on its first call."""
+engine of ``run_monte_carlo`` loads numpy, on its first call, and the pool's
+modules load only when the engine starts a pool (more than one worker and two
+or more slabs)."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,6 +53,30 @@ def test_loading_combining_fusing_and_tracking_load_no_engine_module(tmp_path):
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8").count("\n") == 5
 
 
+#: Slabs of one 32-run block each: 70 runs are three slabs.
+SLAB_PER_BLOCK = "\n".join([
+    "import evidfuse, evidfuse.engine",
+    "evidfuse.engine._SLAB_BYTES = 1",
+    "cfg = evidfuse.default_config(runs=70)",
+    "assert len(range(0, cfg.runs, evidfuse.engine._slab_runs(cfg))) == 3",
+])
+
+
 def test_a_simulation_loads_numpy(tmp_path):
     body = "import evidfuse\nevidfuse.run_monte_carlo(evidfuse.default_config(runs=8))"
-    assert "numpy" in loaded_after(tmp_path, body)
+    assert loaded_after(tmp_path, body) == ["numpy"]
+
+
+@pytest.mark.parametrize("body", [
+    "import evidfuse\nevidfuse.run_monte_carlo(evidfuse.default_config(runs=70), workers=4)",
+    SLAB_PER_BLOCK + "\nevidfuse.run_monte_carlo(cfg, workers=1)",
+    "import evidfuse.cli\nassert evidfuse.cli.main(['simulate', %r, '--runs', '64', '--threads', '4',"
+    " '-o', 'out.csv']) == 0" % str(ROOT / "configs" / "default.json"),
+], ids=["one-slab-four-workers", "three-slabs-one-worker", "cli-one-slab-four-threads"])
+def test_a_simulation_without_a_pool_loads_only_numpy(tmp_path, body):
+    assert loaded_after(tmp_path, body) == ["numpy"]
+
+
+def test_a_pool_loads_its_modules(tmp_path):
+    body = SLAB_PER_BLOCK + "\nevidfuse.run_monte_carlo(cfg, workers=2)"
+    assert loaded_after(tmp_path, body) == list(ENGINE_ONLY)

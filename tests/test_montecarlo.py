@@ -9,7 +9,6 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -402,7 +401,7 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
 
     cfg = small_config(runs=70)  # three blocks, which fit one slab: no pool
     inline = run_monte_carlo(cfg, workers=1)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     run_monte_carlo(cfg, workers=8)
     assert started == []
     monkeypatch.setattr(engine, "_SLAB_BYTES", 1)  # one block per slab
@@ -475,8 +474,15 @@ def test_real_pool_under_other_start_methods_matches_one_worker(monkeypatch, met
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip("start method %s is not available here" % method)
     context = multiprocessing.get_context(method)
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context))
+    started = []
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers, mp_context=context)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
     test_real_pool_over_slabs_matches_one_worker(monkeypatch, ten_label_pignistic_config(), None)
+    assert started == [2]
 
 
 def test_default_config_output_is_pinned(tmp_path):
