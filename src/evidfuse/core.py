@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from math import fsum, isfinite
 from numbers import Real
-from operator import mul
+from operator import itemgetter, mul
 from collections.abc import Callable, Iterable, Mapping
 
 from .errors import FrameError, FrameMismatchError, MassFunctionError
@@ -299,18 +299,27 @@ def _fuse_pairs(m1: MassFunction, m2: MassFunction, tnorm: Callable[[float, floa
     gaining ``vb * r`` with ``r = t / tconorm(va, vb)``. The division is safe
     because ``t > 0`` implies ``tconorm(va, vb) >= max(va, vb) >= t``.
 
+    Each row (one focal set A of ``m1``) visits the focal sets of ``m2`` in
+    descending mass order and ends at its first pair with ``t == 0``. That
+    skips exactly the pairs the rule drops: every shipped t-norm is
+    nondecreasing and nonnegative, and stays so exactly in IEEE arithmetic
+    (``fl(x * y)``, ``min`` and ``max(0, fl(fl(x + y) - 1))`` are monotone),
+    so every later pair of the row has ``t == 0`` too. Only ``m2`` is
+    sorted; a row whose first pair is zero costs one t-norm call.
+
     Per-subset accumulation uses an accurately rounded sum, which makes the
-    result independent of argument order bit for bit. Nothing is normalized.
+    result independent of argument order, and of the visiting order, bit for
+    bit. Nothing is normalized.
     """
     _require_same_frame(m1, m2)
     terms: dict[int, list[float]] = defaultdict(list)
-    pairs = list(m2.masses.items())
+    pairs = sorted(m2.masses.items(), key=itemgetter(1), reverse=True)
     keep_conflict = tconorm is None
     for a, va in m1.masses.items():
         for b, vb in pairs:
             t = tnorm(va, vb)
             if t == 0.0:
-                continue
+                break
             x = a & b
             if x or keep_conflict:
                 terms[x].append(t)

@@ -4,6 +4,13 @@ The shipped operators are a closed enumeration, so the axiom test suite can
 cover every variant exhaustively. Each t-norm is associative, commutative,
 monotone, and satisfies the boundary conditions T(0, 0) = 0 and T(x, 1) = x.
 
+The focal-pair kernel relies on the IEEE implementations being exactly
+nonnegative and monotone, not just within rounding: it ends a row at its
+first zero t-norm, so ``T(x, y) == 0.0`` and ``y2 <= y`` must give
+``T(x, y2) == 0.0``. The shipped forms hold this because rounding is
+monotone (``fl(x * y)``, ``min`` and ``max(0, fl(fl(x + y) - 1))``); a new
+t-norm must keep it, and ``tests/test_operators.py`` checks it exactly.
+
 Note that :attr:`TConorm.SUM` is the *unclamped* arithmetic sum, which leaves
 [0, 1] for x + y > 1. That is deliberate: only the unclamped sum makes the
 TCN rule with the algebraic-product t-norm reduce exactly to PCR5's

@@ -33,7 +33,7 @@ from functools import cached_property
 from math import fsum
 
 from .core import MassFunction, _combined, _fuse_pairs
-from .errors import ConfigError, TotalConflictError, VanishingConsensusError
+from .errors import ConfigError, MassFunctionError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
 #: A surviving consensus at or below this counts as total conflict.
@@ -103,20 +103,24 @@ def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction
     tnorm, tconorm, floor = cfg.fusion
     masses = _fuse_pairs(m1, m2, TNORM_FUNCS[tnorm], None if tconorm is None else TCONORM_FUNCS[tconorm])
     conflict = masses.pop(0, 0.0)
-    where = "%s_combine" % cfg.rule.value
-    if floor is None:
-        return _combined(m1.frame, masses, where=where)
-    total = fsum(masses.values())
-    if total <= floor:
-        if cfg.rule is Rule.DEMPSTER:
-            raise TotalConflictError(
-                "total conflict between sources (K=%.17g); Dempster's rule is undefined" % conflict
+    if floor is not None:
+        total = fsum(masses.values())
+        if total <= floor:
+            if cfg.rule is Rule.DEMPSTER:
+                raise TotalConflictError(
+                    "total conflict between sources (K=%.17g); Dempster's rule is undefined" % conflict
+                )
+            raise VanishingConsensusError(
+                "TCN consensus vanished for tnorm=%s, tconorm=%s (nothing to normalize)"
+                % (tnorm.value, tconorm.value)
             )
-        raise VanishingConsensusError(
-            "TCN consensus vanished for tnorm=%s, tconorm=%s (nothing to normalize)"
-            % (tnorm.value, tconorm.value)
-        )
-    return _combined(m1.frame, {bits: value / total for bits, value in masses.items()}, where=where)
+        masses = {bits: value / total for bits, value in masses.items()}
+    # the audit's messages read "where: ..."; the rule's name goes before the
+    # colon only when one is raised, so a fusion that passes never builds it
+    try:
+        return _combined(m1.frame, masses, where="")
+    except MassFunctionError as exc:
+        raise MassFunctionError("%s_combine%s" % (cfg.rule.value, exc)) from None
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -25,6 +25,9 @@ from evidfuse import (
     total_conflict,
     vacuous_bba,
 )
+from evidfuse.core import _fuse_pairs
+from evidfuse.operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
+from evidfuse.rng import SplitMix64
 
 from conftest import ABC_FRAME, FC_FRAME, dyadic_bbas, float_bbas
 
@@ -307,6 +310,35 @@ def test_consensus_result_rejects_masses_that_do_not_sum_to_one():
 def test_conjunctive_consensus_frame_mismatch():
     with pytest.raises(FrameMismatchError):
         conjunctive_consensus(vacuous_bba(FC_FRAME), vacuous_bba(ABC_FRAME))
+
+
+def _dense_bba(frame, seed, dominant):
+    """Every nonempty subset focal; a dominant set, when asked for, takes about
+    two thirds of the mass."""
+    rng = SplitMix64(seed)
+    weights = [rng.next_float() + 1.0 / 1024 for _ in frame.nonempty_subsets()]
+    if dominant:
+        weights[int(rng.next_float() * len(weights))] += 2.0 * math.fsum(weights)
+    total = math.fsum(weights)
+    return make_bba(frame, {bits: w / total for bits, w in zip(frame.nonempty_subsets(), weights)})
+
+
+@pytest.mark.parametrize("tconorm", [None, TCONORM_FUNCS[TConorm.MAX]], ids=["conflict-kept", "max"])
+@pytest.mark.parametrize("dominant", [(False, False), (True, False), (True, True)], ids=str)
+def test_fuse_pairs_ends_each_row_at_its_first_zero_tnorm(tconorm, dominant):
+    frame = Frame(tuple("L%d" % i for i in range(6)))
+    m1, m2 = (_dense_bba(frame, seed, d) for seed, d in zip((1, 2), dominant))
+    bounded = TNORM_FUNCS[TNorm.BOUNDED]
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return bounded(x, y)
+
+    nonzero = sum(bounded(va, vb) != 0.0 for va in m1.masses.values() for vb in m2.masses.values())
+    assert _fuse_pairs(m1, m2, counting, tconorm) == _fuse_pairs(m1, m2, bounded, tconorm)
+    # all 63 * 63 pairs without the cut
+    assert len(calls) <= len(m1.masses) + nonzero < len(m1.masses) * len(m2.masses)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Fuzzy conjunction/disjunction operators and their algebraic laws."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +51,23 @@ def test_tnorm_monotonicity(kind, x, y, a, b):
     lo = t(min(x, a), min(y, b))
     hi = t(max(x, a), max(y, b))
     assert lo <= hi + 1e-12
+
+
+#: Masses in [0, 1] that reach the subnormals and the products that round to zero.
+fine_units = st.one_of(units, st.floats(0.0, 1e-150), st.floats(0.0, sys.float_info.min))
+
+
+@pytest.mark.parametrize("kind", ALL_TNORMS)
+@given(x=fine_units, y=fine_units, y2=fine_units)
+def test_tnorm_zero_stays_zero_below_exactly(kind, x, y, y2):
+    # the focal-pair kernel ends a row at its first zero t-norm, visiting the
+    # second argument in descending order: that is exact only if the IEEE
+    # operator is nonnegative and a zero stays zero below, with no slack
+    t = TNORM_FUNCS[kind]
+    y2, y = sorted((y, y2))
+    assert t(x, y2) >= 0.0
+    if t(x, y) == 0.0:
+        assert t(x, y2) == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_TNORMS)

@@ -19,7 +19,6 @@ from evidfuse import (
     FrameMismatchError,
     combine,
     conjunctive_consensus,
-    default_rules,
     dempster_combine,
     make_bba,
     pcr5_combine,
@@ -308,5 +307,5 @@ def _bits(fuse, *args):
 def test_kernel_matches_original_loops_bit_for_bit(pair):
     m1, m2 = pair
     assert _bits(conjunctive_consensus, m1, m2) == _bits(seed_rules.conjunctive_consensus, m1, m2)
-    for cfg in default_rules():
+    for cfg in ALL_RULE_CONFIGS:
         assert _bits(combine, cfg, m1, m2) == _bits(seed_rules.combine, cfg, m1, m2), cfg.describe()
