@@ -22,10 +22,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
-from typing import Iterable
+from collections.abc import Iterable
 
-from .core import DecisionCriterion, MassFunction, conjunctive_consensus
+from .core import DecisionCriterion, MassFunction, conjunctive_consensus, replace
 from .errors import (
     ConfigError,
     EvidenceError,

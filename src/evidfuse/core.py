@@ -9,19 +9,35 @@ This module provides the substrate shared by every combination rule:
   nonempty subsets of a frame.
 * the unnormalized conjunctive consensus of two sources, the total
   conflict, the pignistic probability transform, and decision extraction.
+* :class:`Value`, the base of every value type in the package, and
+  :func:`replace`.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here can be used freely from concurrent code.
+
+A :class:`Value` subclass declares its fields as class annotations, in
+order; a class attribute of the same name is that field's default. Calling
+the class binds positional, then keyword arguments to the fields (a missing,
+extra or repeated argument is a ``TypeError``), stores them in the instance
+``__dict__`` and then calls ``__post_init__`` if the class has one, which
+validates and may normalize a field through ``object.__setattr__``. After
+that, setting or deleting any attribute raises ``AttributeError``; a
+``functools.cached_property`` still works, because it writes the instance
+``__dict__`` directly and is not a field. Two values are equal when they
+have the same class and equal fields, a value hashes as the tuple of its
+fields, and its repr is ``Name(field=value, ...)``, so all three read as
+those of a frozen dataclass. Values pickle and copy through their
+``__dict__``. :func:`replace` builds a changed copy through the class, so
+the copy is validated again.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
 from math import fsum, isfinite
 from numbers import Real
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 from collections.abc import Callable, Iterable, Mapping
 
 from .errors import FrameError, FrameMismatchError, MassFunctionError
@@ -36,8 +52,69 @@ SUM_TOLERANCE = 1e-9
 SUBSET_SEPARATOR = "|"
 
 
-@dataclass(frozen=True)
-class Frame:
+class Value:
+    """Base of the immutable value types; the module docstring states its contract."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._key = staticmethod(attrgetter(*cls._fields))
+        cls._validates = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        state = self.__dict__
+        for name, value in zip(fields, args):
+            state[name] = value
+        if self._validates:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that is not all-positional."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d arguments but %d were given" % (name, len(fields), len(args)))
+        positional = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in positional:
+                raise TypeError("%s() got an unexpected or repeated argument %r" % (name, key))
+        values = {**self._defaults, **positional, **kwargs}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError("%s() missing required arguments: %s" % (name, ", ".join(map(repr, missing))))
+        return [values[key] for key in fields]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+def replace(obj: Value, **changes: object) -> Value:
+    """A copy of ``obj`` with some fields changed, validated again."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
+class Frame(Value):
     """An ordered frame of discernment.
 
     The label order is significant: label ``i`` owns bit ``i`` in every
@@ -178,8 +255,7 @@ def _clean_masses(frame: Frame, entries: Mapping[object, float], *, where: str) 
     return masses
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(Value):
     """A normalized basic belief assignment m(.) under Shafer's model.
 
     ``masses`` maps focal-set bitmasks to strictly positive masses; the empty
@@ -255,8 +331,7 @@ def _require_same_frame(m1: MassFunction, m2: MassFunction) -> Frame:
     return m1.frame
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(Value):
     """Unnormalized conjunctive consensus of two sources.
 
     Unlike :class:`MassFunction`, the empty set may carry mass here: its value
@@ -264,7 +339,7 @@ class ConsensusResult:
     """
 
     frame: Frame
-    masses: dict[int, float] = field(default_factory=dict)
+    masses: dict[int, float]
 
     def __post_init__(self) -> None:
         total = fsum(self.masses.values())

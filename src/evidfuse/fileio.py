@@ -38,8 +38,8 @@ import enum
 import io
 import json
 import re
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 from .core import SUBSET_SEPARATOR, DecisionCriterion, Frame, MassFunction, make_bba, make_frame
 from .errors import ConfigError, EvidenceError, FrameError, FrameMismatchError

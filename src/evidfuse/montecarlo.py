@@ -24,25 +24,19 @@ cut into slabs and the bitwise contract with the scalar tracker.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .core import DecisionCriterion, Frame, _coerce_subset, _is_integer
+from .core import DecisionCriterion, Frame, Value, _coerce_subset, _is_integer
 from .errors import ConfigError, FrameError, FrameMismatchError
 from .rng import SplitMix64
 from .rules import Rule, RuleConfig
 from .tracker import ConfusionMatrix, uniform_diagonal_confusion
 from .operators import TConorm, TNorm
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Runs per accumulation block; fixed so results do not depend on worker count.
 CHUNK_RUNS = 32
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """Ground truth as (type label, duration in scans) segments. Messages lead
     with the field they name, ``segments[i]``, so loaders pass them on."""
 
@@ -93,8 +87,7 @@ class Scenario:
         return result
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
+class MonteCarloConfig(Value):
     """Everything a simulation needs; identical configs give identical output."""
 
     scenario: Scenario
@@ -134,8 +127,7 @@ class MonteCarloConfig:
         return self.scenario.frame
 
 
-@dataclass(frozen=True)
-class AveragedTrace:
+class AveragedTrace(Value):
     """Per-scan masses and decision hit rate of one rule, averaged over runs.
 
     ``masses`` is ``(scans, M + 1)``, a row per scan of ``truth``: column ``i < M`` is
@@ -213,8 +205,7 @@ def run_monte_carlo(cfg: MonteCarloConfig, workers: int = 1) -> list[AveragedTra
     return run_slabs(cfg, workers)
 
 
-@dataclass(frozen=True)
-class ReadaptationDelay:
+class ReadaptationDelay(Value):
     """Scans needed after a truth switch for the mean mass to cross a threshold.
 
     ``delay`` counts the switch scan itself (1 = crossed immediately) and is

@@ -28,11 +28,10 @@ t-norm and the sum t-conorm, TCN differs from PCR5 only by its floor.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 
-from .core import MassFunction, _combined, _fuse_pairs
+from .core import MassFunction, Value, _combined, _fuse_pairs
 from .errors import ConfigError, MassFunctionError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
@@ -48,8 +47,7 @@ class Rule(enum.Enum):
     TCN = "tcn"
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(Value):
     """A rule selection plus the operator pair required by TCN.
 
     ``tnorm``/``tconorm`` must be given exactly when ``rule`` is TCN. This is

@@ -9,16 +9,15 @@ first scan is always the vacuous assignment (full ignorance).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import fsum, isfinite
-from typing import Sequence
 
 from .core import (
     DecisionCriterion,
     Frame,
     MassFunction,
     SUM_TOLERANCE,
+    Value,
     _is_real,
     decide,
     vacuous_bba,
@@ -27,8 +26,7 @@ from .errors import EvidenceError, FrameError
 from .rules import RuleConfig, combine
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Value):
     """Row-stochastic classifier model.
 
     ``rows[i][j]`` is the probability that the classifier declares type j
@@ -105,8 +103,7 @@ def observation_bba(decision: str, confusion: ConfusionMatrix) -> MassFunction:
     return MassFunction(frame, masses)
 
 
-@dataclass(frozen=True)
-class TrackRecord:
+class TrackRecord(Value):
     """Outcome of one scan: what was declared, believed, and decided."""
 
     scan: int

@@ -5,7 +5,7 @@ import json
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from evidfuse.core import replace
 
 import pytest
 

@@ -1,6 +1,7 @@
 """Frames, mass functions, consensus operators, and decisions."""
 
 import math
+import pickle
 import re
 
 import numpy as np
@@ -9,23 +10,31 @@ from hypothesis import given
 
 from evidfuse import (
     AveragedTrace,
+    ConfigError,
+    ConfusionMatrix,
     ConsensusResult,
     DecisionCriterion,
     Frame,
     FrameError,
     FrameMismatchError,
+    MassFunction,
     MassFunctionError,
+    MonteCarloConfig,
+    ReadaptationDelay,
     Rule,
     RuleConfig,
+    Scenario,
+    TrackRecord,
     conjunctive_consensus,
     decide,
+    default_config,
     make_bba,
     make_frame,
     pignistic,
     total_conflict,
     vacuous_bba,
 )
-from evidfuse.core import _fuse_pairs
+from evidfuse.core import _fuse_pairs, replace
 from evidfuse.operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 from evidfuse.rng import SplitMix64
 
@@ -389,3 +398,89 @@ def test_decide_criteria_can_disagree():
     )
     assert decide(m, DecisionCriterion.MAX_BELIEF) == "Alpha"
     assert decide(m, DecisionCriterion.MAX_PIGNISTIC) == "Bravo"
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+AB = Frame(["A", "B"])  # a list, which __post_init__ turns into a tuple
+AB_TEXT = "Frame(labels=('A', 'B'))"
+AB_MASS = MassFunction(AB, {1: 0.75, 3: 0.25})
+AB_MASS_TEXT = "MassFunction(frame=%s, masses={1: 0.75, 3: 0.25})" % AB_TEXT
+AB_CONFUSION = ConfusionMatrix(AB, [[0.75, 0.25], [0.5, 0.5]])
+AB_CONFUSION_TEXT = "ConfusionMatrix(frame=%s, rows=((0.75, 0.25), (0.5, 0.5)))" % AB_TEXT
+AB_SCENARIO_TEXT = "Scenario(frame=%s, segments=(('A', 2), ('B', 1)))" % AB_TEXT
+PCR5_TEXT = "RuleConfig(rule=<Rule.PCR5: 'pcr5'>, tnorm=None, tconorm=None)"
+#: Shared by both builds of the trace, so that the two compare equal field by field.
+TRACE_MASSES, TRACE_RATES = np.array([[0.5, 0.25, 0.25]]), np.array([1.0])
+
+#: One value of each of the ten types, by a builder and its repr as a frozen dataclass gave it.
+VALUES = {
+    "Frame": (lambda: Frame(["A", "B"]), AB_TEXT),
+    "MassFunction": (lambda: MassFunction(AB, {1: 0.75, 3: 0.25}), AB_MASS_TEXT),
+    "ConsensusResult": (lambda: ConsensusResult(AB, {0: 0.5, 1: 0.5}),
+                        "ConsensusResult(frame=%s, masses={0: 0.5, 1: 0.5})" % AB_TEXT),
+    "RuleConfig": (lambda: RuleConfig(Rule.PCR5), PCR5_TEXT),
+    "ConfusionMatrix": (lambda: ConfusionMatrix(AB, [[0.75, 0.25], [0.5, 0.5]]), AB_CONFUSION_TEXT),
+    "TrackRecord": (lambda: TrackRecord(1, "A", AB_MASS, "A"),
+                    "TrackRecord(scan=1, declared='A', posterior=%s, decision='A')" % AB_MASS_TEXT),
+    "Scenario": (lambda: Scenario(AB, [["A", 2], ["B", 1]]), AB_SCENARIO_TEXT),
+    "MonteCarloConfig": (
+        lambda: MonteCarloConfig(Scenario(AB, [["A", 2], ["B", 1]]), AB_CONFUSION, [RuleConfig(Rule.PCR5)], 8, 1),
+        "MonteCarloConfig(scenario=%s, confusion=%s, rules=(%s,), runs=8, master_seed=1, "
+        "criterion=<DecisionCriterion.MAX_BELIEF: 'belief'>)" % (AB_SCENARIO_TEXT, AB_CONFUSION_TEXT, PCR5_TEXT)),
+    "AveragedTrace": (
+        lambda: AveragedTrace(RuleConfig(Rule.PCR5), AB, ("A",), TRACE_MASSES, TRACE_RATES),
+        "AveragedTrace(rule=%s, frame=%s, truth=('A',), masses=array([[0.5 , 0.25, 0.25]]), "
+        "correct_rate=array([1.]))" % (PCR5_TEXT, AB_TEXT)),
+    "ReadaptationDelay": (lambda: ReadaptationDelay(3, "B", math.inf),
+                          "ReadaptationDelay(switch_scan=3, new_type='B', delay=inf)"),
+}
+
+
+@pytest.mark.parametrize("build, text", VALUES.values(), ids=VALUES.keys())
+def test_value_types_behave_as_frozen_dataclasses(build, text):
+    value, twin = build(), build()
+    assert repr(value) == text
+    assert value == twin and not value != twin and value is not twin
+    assert value != object() and value != tuple(vars(value).values())
+    fields = dict(vars(value))
+    if any(isinstance(v, (dict, np.ndarray)) or v is AB_MASS for v in fields.values()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin) == hash(tuple(fields.values()))
+    for name in fields:
+        with pytest.raises(AttributeError, match="cannot assign to field %r" % name):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match="cannot delete field %r" % name):
+            delattr(value, name)
+    assert vars(value) == fields
+    first = next(iter(fields))
+    for args, kwargs in [((), {}), ((*fields.values(), None), {}), ((), {**fields, "extra": 1}),
+                         ((fields[first],), fields)]:
+        with pytest.raises(TypeError, match=type(value).__name__):
+            type(value)(*args, **kwargs)
+    assert repr(type(value)(**fields)) == repr(replace(value)) == text
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and repr(copy) == text
+
+
+def test_replace_revalidates_and_a_rule_config_keys_dicts_and_pickles_with_its_fusion_cached():
+    cfg = default_config(runs=8)
+    assert replace(cfg, runs=9) == default_config(runs=9)
+    with pytest.raises(ConfigError, match="runs must be a positive integer"):
+        replace(cfg, runs=0)
+    with pytest.raises(TypeError, match="rnus"):
+        replace(cfg, rnus=9)
+    pcr5 = RuleConfig(Rule.PCR5)
+    assert {pcr5: 1}[RuleConfig(rule=Rule.PCR5)] == 1
+    fusion = pcr5.fusion
+    assert vars(pcr5)["fusion"] is fusion and pcr5 == RuleConfig(Rule.PCR5)
+    copy = pickle.loads(pickle.dumps(pcr5))
+    assert copy == pcr5 and hash(copy) == hash(pcr5) and vars(copy)["fusion"] == fusion
+    tcn = RuleConfig(Rule.TCN, tnorm=TNorm.MIN, tconorm=TConorm.MAX)
+    assert replace(tcn, tnorm=TNorm.BOUNDED).fusion == (TNorm.BOUNDED, TConorm.MAX, 0.0)
+    with pytest.raises(ConfigError, match="rule tcn needs both"):
+        replace(tcn, tconorm=None)

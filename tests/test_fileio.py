@@ -5,7 +5,7 @@ import math
 import pathlib
 import re
 import tracemalloc
-from dataclasses import replace
+from evidfuse.core import replace
 
 import numpy as np
 import pytest

@@ -7,7 +7,7 @@ import re
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from evidfuse.core import replace
 from fractions import Fraction
 from pathlib import Path
 
