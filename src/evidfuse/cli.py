@@ -154,10 +154,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_simulation_config(args.config)
-    if args.runs is not None:
-        cfg = replace(cfg, runs=args.runs)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    overrides = {name: value for name, value in (("runs", args.runs), ("master_seed", args.seed)) if value is not None}
+    if overrides:  # one rebuild, validated once
+        cfg = replace(cfg, **overrides)
 
     columns = _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
     workers = args.threads

@@ -52,11 +52,13 @@ conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
 correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
 The declared singleton gets 3 + (M - 1) terms, and the normalizer of Dempster
 and TCN sums M + 1 masses. Both are planes, of a term buffer allocated once
-per slab and of the posterior, so they already lie as the ``(k, n)`` arrays
-that the TwoSum trees of :func:`_exact_sum` read. It returns each row's
-``fsum`` bit for bit from those trees and a certificate, and calls ``fsum``
-for the rows it cannot certify (about 6 % on the default config) and for
-arrays under :data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips
+per slab and of the posterior, so they already lie as the contiguous
+``(k, n)`` arrays that :func:`_exact_sum` reads. It splits every term, error
+free, at a power of two above the array's largest term, and returns each
+row's ``fsum`` bit for bit where an exact clause or a certificate decides it.
+It calls ``fsum`` for the rows that neither decides (about 6 % on the default
+config, 2 % on a 3-label one, none on a 10-label one) and for arrays under
+:data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips
 (t-norm 0), or the declared singleton's own ratio, enters as an exact zero,
 which changes no sum.
 ``argmax`` (first maximum) reproduces the lowest-index tie break of
@@ -81,7 +83,7 @@ rule and scan context.
 from __future__ import annotations
 
 from itertools import accumulate, chain, groupby, repeat
-from math import fsum
+from math import frexp, fsum, ldexp
 
 import numpy as np
 
@@ -98,15 +100,17 @@ from .tracker import run_track
 #: and 32 MiB were slower.
 _SLAB_BYTES = 8 << 20
 
-#: Fewest rows that :func:`_exact_sum` sums as arrays. Below about 128 to 192
-#: rows of 3 to 13 terms, one ``fsum`` per row is faster, as numpy's per-call
-#: overhead dominates (measured on x86_64 with numpy 2.4); 256 leaves a margin.
-_EXACT_SUM_MIN_ROWS = 256
+#: Fewest rows that :func:`_exact_sum` sums as arrays. Below about 64 rows of
+#: 11 or 13 terms, and about 128 rows of 3 or 5, one ``fsum`` per row is
+#: faster, as numpy's per-call overhead dominates (measured on x86_64 with
+#: numpy 2.4); 160 leaves a margin.
+_EXACT_SUM_MIN_ROWS = 160
 
 #: Bound on every term's magnitude on the array path. A row of fewer than
-#: 2**20 such terms overflows neither in the TwoSum trees nor in ``fsum``'s
-#: partials (``fsum`` raises OverflowError on an intermediate overflow, even
-#: when the sum is finite); inf and NaN fail the test too.
+#: 2**20 such terms overflows neither in the split, whose sigma stays below
+#: 2**1021, nor in ``fsum``'s partials (``fsum`` raises OverflowError on an
+#: intermediate overflow, even when the sum is finite); inf and NaN fail the
+#: test too.
 _EXACT_SUM_MAX_TERM = 2.0**1000
 
 # The splitmix64 streams of :mod:`evidfuse.rng` in closed form. Every operand
@@ -173,48 +177,69 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - b_part)) + (b - b_part)
 
 
-def _tree_sum(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums of ``terms`` (k, n) by a pairwise TwoSum tree, and the
-    (k - 1, n) rounding errors: the column sum is exactly the result plus the errors'."""
-    errors = []
-    while len(terms) > 1:
-        half = len(terms) // 2
-        s, e = _two_sum(terms[:half], terms[half:2 * half])
-        errors.append(e)
-        terms = np.concatenate((s, terms[2 * half:])) if len(terms) % 2 else s
-    return terms[0], np.concatenate(errors) if errors else terms[:0]
-
-
 def _exact_sum(rows: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of a 2-D array, bit for bit.
 
-    With X the exact row sum: a TwoSum tree gives ``X = s + sum(e)``, a second
-    tree over the errors ``sum(e) = E + sum(f)``, and a last TwoSum
-    ``s + E = res + r``, all exactly (Ogita, Rump & Oishi 2005). When every
-    ``f`` is 0, ``res`` is the correctly rounded ``s + E = X`` and rounds ties
-    to even as ``fsum`` does. Otherwise ``X - res = r + sum(f)`` with
-    ``|sum(f)| <= B = 2 fl(sum(|f|))``, and ``res`` is certified when
-    ``2 (|r| + B) < g = fl(|res| 2**-53)``: X then lies strictly inside res's
-    rounding interval, as g is at most the gap to either neighbour of res (the
-    ufp bound, Rump, Ogita & Oishi 2008). For a normal res in [2**e, 2**(e+1))
-    the product lies in [2**(e-53), 2**(e-52)), both gaps are 2**(e-52), and
-    at res = 2**e, where the product is 2**(e-53), the lower gap is at least
-    that. Rounded in the subnormal range to a multiple of 2**-1074, as every
-    gap is, it stays at most the gap. For a subnormal or zero res, g is 0, so
-    only rows whose f are all 0 pass. g is a double and the left side one
-    rounding of 2 (|r| + B), so by monotone rounding a computed pass implies
-    an exact one. A zero result is +0.0, as from ``fsum``: an IEEE sum is
-    -0.0 only when every addend is, and no TwoSum error is. Rows that fail go
-    through ``fsum`` one by one; arrays with fewer than
-    :data:`_EXACT_SUM_MIN_ROWS` rows, or with a term not below
+    One error-free split (ExtractVector, Rump, Ogita & Oishi 2008, section 3).
+    Let a row have k terms, every term of the array be below 2**e in
+    magnitude, 2**b > k, and sigma = 2**(e + b). A term x then splits exactly
+    as x = q + p with q = (x + sigma) - sigma. x + sigma lies in
+    [sigma/2, 2 sigma), where doubles are spaced 2**(e + b - 53) or twice
+    that, and the subtraction is exact (Sterbenz), so q is x rounded to a
+    multiple of 2**(e + b - 53), |q| <= 2**e and |p| <= 2**(e + b - 53); and
+    p = x - q is a multiple of ulp(x) no larger than |x|, so a double. Every
+    partial sum of the q is a multiple of 2**(e + b - 53) below sigma, which
+    is 2**53 such units, in magnitude, so Q = sum(q) is exact in any order.
+    With P the computed sum of the p, TwoSum gives Q + P = res + r exactly,
+    and the exact row sum is X = res + r + d, where d = sum(p) - P. A row is
+    then decided by one of two clauses.
+
+    Exact: every nonzero term is at least 2**(e + 2b - 54). Each p is then a
+    multiple of w = 2**(e + 2b - 106), as each q is, and every partial sum of
+    the p is below k 2**(e + b - 53) < 2**53 w, so d = 0: res is X correctly
+    rounded, and it rounds a tie to even as ``fsum`` does.
+
+    Certified: 2 (|r| + B) < gap, with B = 2**(e + 3b - 106) and
+    gap = |res| - nextafter(|res|, 0), the gap below |res|, never more than
+    the one above it. (The next double below a positive one has the bit
+    pattern one lower; for 0 that pattern reads as NaN.) In any order
+    |d| <= gamma(k - 1) sum(|p|) (Higham), and gamma(k - 1) < 2**(b - 53),
+    sum(|p|) < k 2**(e + b - 53), so |d| < B; X - res = r + d then lies
+    strictly inside half of either gap, and res is X correctly rounded. gap
+    is a power of two, computed exactly (Sterbenz), and the left side,
+    2 fl(|r| + B), is one rounding of 2 (|r| + B), so by monotone rounding a
+    computed pass implies an exact one. A zero res has gap NaN and never
+    passes.
+
+    Subnormals: every double is a multiple of 2**-1074, so each "multiple
+    of" above holds with its unit raised to 2**-1074 where it is smaller, and
+    a sum of such multiples below 2**53 units stays exact. A subnormal gap is
+    exact too. B and the exact threshold are powers of two, exact unless
+    below 2**-1074, where they are 0: the threshold is then below every
+    nonzero term, and when B is, every partial sum of the p is below
+    2**-1021, where doubles are spaced 2**-1074, so d = 0. A zero
+    result is +0.0, as from ``fsum``: q is +0.0 when x + sigma rounds to
+    sigma, an exact cancellation gives +0.0, so neither Q nor res is -0.0.
+
+    Rows that neither clause decides go through ``fsum`` one by one; arrays
+    with fewer than :data:`_EXACT_SUM_MIN_ROWS` rows, or with a term not below
     :data:`_EXACT_SUM_MAX_TERM` in magnitude, go through it whole."""
-    if len(rows) < _EXACT_SUM_MIN_ROWS or not np.abs(rows).max() < _EXACT_SUM_MAX_TERM:
+    if len(rows) < _EXACT_SUM_MIN_ROWS:
         return np.array(list(map(fsum, rows.tolist())))
-    s, e = _tree_sum(np.ascontiguousarray(rows.T))
-    sum_e, f = _tree_sum(e)
-    res, r = _two_sum(s, sum_e)
-    bound = 2.0 * np.abs(f).sum(axis=0)
-    uncertain = np.flatnonzero((bound != 0.0) & ~(2.0 * (np.abs(r) + bound) < np.abs(res) * 2.0**-53))
+    terms = np.ascontiguousarray(rows.T)  # (k, n): no copy, as the engine's rows are transposed planes
+    top = np.abs(terms).max()
+    if not top < _EXACT_SUM_MAX_TERM:
+        return np.array(list(map(fsum, rows.tolist())))
+    b, e = len(terms).bit_length(), frexp(top)[1]
+    sigma = ldexp(1.0, e + b)
+    q = terms + sigma
+    q -= sigma
+    res, r = _two_sum(q.sum(axis=0), (terms - q).sum(axis=0))
+    gap = np.abs(res)
+    gap -= (gap.view(np.int64) - 1).view(np.float64)  # nextafter(gap, 0): the bit pattern one lower
+    uncertain = np.flatnonzero(~(2.0 * (np.abs(r) + ldexp(1.0, e + 3 * b - 106)) < gap))
+    size = np.abs(terms[:, uncertain])  # the exact clause, on the rows the certificate leaves
+    uncertain = uncertain[((size < ldexp(1.0, e + 2 * b - 54)) & (size != 0.0)).any(axis=0)]
     res[uncertain] = list(map(fsum, rows[uncertain].tolist()))
     return res
 

@@ -48,7 +48,7 @@ from .operators import TConorm, TNorm
 from .rules import Rule, RuleConfig
 from .tracker import ConfusionMatrix, TrackRecord
 
-_MASS_FIELD = "{:.12g}"
+_MASS_FIELD = "%.12g"
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _subset_columns(frame: Frame) -> tuple[list[str], str]:
 
 
 def format_mass(value: float) -> str:
-    return _MASS_FIELD.format(value)
+    return _MASS_FIELD % value
 
 
 def _csv_cells(cells: Sequence[str]) -> str:
@@ -267,12 +267,12 @@ def _csv_cells(cells: Sequence[str]) -> str:
 def _mass_lines(heads: Sequence[str], rows: list[list[float]], live: list[int], width: int) -> list[str]:
     """CSV lines: an encoded head, then ``width`` number cells. The ``live``
     columns (their values in ``rows``) are :func:`format_mass` fields of the row
-    template that ``str.format`` fills; the rest are ``format_mass(0.0)``."""
-    template = ["{}"] + [format_mass(0.0)] * width
+    template that ``%`` fills; the rest are ``format_mass(0.0)``."""
+    template = ["%s"] + [format_mass(0.0)] * width
     for i in live:
         template[i + 1] = _MASS_FIELD
     template = ",".join(template)
-    return [template.format(head, *row) for head, row in zip(heads, rows)]
+    return [template % (head, *row) for head, row in zip(heads, rows)]
 
 
 def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
@@ -336,7 +336,7 @@ def trace_plot_data(trace: AveragedTrace, columns: tuple[list[str], str] | None 
     m = trace.frame.size
     names, _ = columns or _subset_columns(trace.frame)
     lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(m))]
-    template = " ".join(["{}"] + [_MASS_FIELD] * m)
+    template = " ".join(["%d"] + [_MASS_FIELD] * m)
     # columns i < M of a trace's masses are the singletons, in label order
-    lines += [template.format(k, *row[:m]) for k, row in enumerate(trace.masses.tolist(), 1)]
+    lines += [template % (k, *row[:m]) for k, row in enumerate(trace.masses.tolist(), 1)]
     return "\n".join(lines) + "\n"

@@ -322,6 +322,22 @@ def test_simulate_overrides_change_output(workdir, tmp_path):
     assert shorter.read_bytes() != base.read_bytes()
 
 
+def test_simulate_runs_and_seed_flags_write_the_bytes_of_a_config_that_holds_them(workdir, tmp_path, monkeypatch):
+    config = json.loads((workdir / "sim.json").read_text(encoding="utf-8"))
+    config.update(runs=32, master_seed=78)
+    (workdir / "overridden.json").write_text(json.dumps(config), encoding="utf-8")
+    from_file = tmp_path / "file.csv"
+    assert main(["simulate", path(workdir, "overridden.json"), "--threads", "1", "-o", str(from_file)]) == 0
+
+    rebuilds = []
+    monkeypatch.setattr(cli, "replace", lambda cfg, **changes: rebuilds.append(changes) or replace(cfg, **changes))
+    from_flags = tmp_path / "flags.csv"
+    assert main(["simulate", path(workdir, "sim.json"), "--runs", "32", "--seed", "78",
+                 "--threads", "1", "-o", str(from_flags)]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+    assert rebuilds == [{"runs": 32, "master_seed": 78}]  # one rebuild for both flags
+
+
 def test_simulate_single_run_matches_track(workdir, tmp_path):
     """--runs 1 degenerates to one ordinary tracked sequence."""
     config = json.loads((workdir / "sim.json").read_text(encoding="utf-8"))

@@ -53,7 +53,7 @@ from evidfuse import (
 from evidfuse import core, engine, montecarlo
 from evidfuse.cli import main
 from evidfuse.fileio import traces_to_csv
-from evidfuse.montecarlo import DEFAULT_SEGMENTS
+from evidfuse.montecarlo import DEFAULT_MASTER_SEED, DEFAULT_SEGMENTS
 
 from conftest import FC_FRAME
 
@@ -715,6 +715,12 @@ SPECIAL_TERMS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.0**-1022
 #: its certificate, not the exact-error clause, decides whether it needs fsum.
 CANCELLING = (1e-05, -1e-05, 3e-05, -3e-05, -1e-19, 1e-19)
 
+#: With 3 terms per row (b = 2) and 1.0 the largest (e = 1), a row's sum is
+#: exact when its smallest nonzero term is at least 2**(e + 2b - 54) = 2**-49.
+#: The first row sums to a tie, 1 + 33 * 2**-53; the second, whose smallest
+#: term is one ulp below that threshold, to just under it.
+AT_THE_EXACT_THRESHOLD = [(1.0, 2.0**-49, 2.0**-49 + 2.0**-53), (1.0, 2.0**-49 - 2.0**-102, 2.0**-49 + 2.0**-53)]
+
 terms = (
     st.floats(-2.0, 2.0)
     | st.floats(0.0, 1.0)
@@ -758,6 +764,19 @@ def fsum_outcome(sums, rows):
 @example(rows=[(1.0, *CANCELLING, d) for d in (2.0**-54, 2.0**-53, -(2.0**-55), -(2.0**-54))], n=0)  # 1/4, 1/2 ulp by 1
 @example(rows=[(-0.5, *CANCELLING, 0.0), (-0.5, *CANCELLING, 2.0**-56), (-2.0, *CANCELLING, 2.0**-54)], n=0)  # -2**e
 @example(rows=[(x, *CANCELLING, d) for x in (2.0**-1021, 2.0**-1022) for d in (0.0, 5e-324, -5e-324)], n=0)  # tiny
+@example(rows=AT_THE_EXACT_THRESHOLD, n=0)
+@example(rows=[(-(1.0 - 2.0**-53), -0.6184052532980496, -0.900637232603198)], n=0)  # q sum near -k 2**e, still exact
+@example(rows=[(1.0, 2.0**-53, 2.0**-110), (1.0, 2.0**-53, -(2.0**-110)), (1.0, -(2.0**-54), -(2.0**-110)),
+               (-1.0, 2.0**-54, 2.0**-110), (1.0, -(2.0**-56), 2.0**-110), (1.0, 2.0**-54, 2.0**-110)], n=0)  # res = +-1
+@example(rows=[(1.0 + 2.0**-52, 2.0**-53, -(2.0**-110)), (0.5, 2.0**-54, 2.0**-110)], n=0)  # ties that one term breaks
+@example(rows=[(1.0, 0.5, 0.25), (1e-200, 3e-201, 7e-215), (2.0**-40, 3 * 2.0**-45, 2.0**-48),
+               (2.0**-60, 2.0**-61, 2.0**-113)], n=0)  # rows far below the array's largest term
+@example(rows=[(5e-324, 1e-323, 2.0**-1030), (-5e-324, 2.0**-1023, 2.0**-1023), (2.0**-1022 - 5e-324, 5e-324, 0.0),
+               (-0.0, 5e-324, -5e-324)], n=0)  # subnormal only
+@example(rows=[(1.0, 2.0**-53), (1.0 + 2.0**-52, 2.0**-53), (0.5, -(2.0**-55)), (-(2.0**-1074), 2.0**-1074)],
+         n=0)  # two terms
+@example(rows=[(1.0, *[2.0**-57] * 16, s * 2.0**-110, 0.0) for s in (1, -1, 0)] + [(0.0,) * (MAX_FRAME_SIZE + 3)],
+         n=0)  # the widest engine sum
 def test_exact_sum_is_fsum_of_each_row(rows, n):
     # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
     n = {1: 1, -1: engine._EXACT_SUM_MIN_ROWS - 1, 0: engine._EXACT_SUM_MIN_ROWS}.get(n, n)
@@ -784,6 +803,30 @@ def test_certificate_decides_most_rows_of_the_default_slab(monkeypatch):
     engine._run_block(default_config(runs=576), 0, 576)
     tree_rows = 2 * 100 * 6 * 576  # two sums per scan, each of 3456 rows (over _EXACT_SUM_MIN_ROWS)
     assert len(calls) < 0.1 * tree_rows  # about 6 %
+
+
+def test_exact_clause_decides_ties_down_to_its_threshold(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    at, below = AT_THE_EXACT_THRESHOLD
+    rows = np.array([at] * (engine._EXACT_SUM_MIN_ROWS - 1) + [below])
+    assert engine._exact_sum(rows).tolist() == [math.fsum(at)] * (len(rows) - 1) + [math.fsum(below)]
+    assert calls == [list(below)]
+    exact, rounded = sum(map(Fraction, at)), Fraction(math.fsum(at))
+    assert abs(exact - rounded) == Fraction(float(np.spacing(math.fsum(at)))) / 2  # a tie, which no certificate decides
+
+
+def test_split_decides_most_rows_of_a_three_label_slab(monkeypatch):
+    # the config that sent 9.1 % of rows to fsum under the TwoSum trees' certificate
+    calls = []
+    monkeypatch.setattr(engine, "fsum", lambda row: calls.append(row) or math.fsum(row))
+    frame = make_frame(["L0", "L1", "L2"])
+    cfg = MonteCarloConfig(scenario=Scenario(frame, (("L0", 30), ("L2", 30), ("L1", 40))),
+                           confusion=uniform_diagonal_confusion(frame, 0.7), rules=default_rules(), runs=416,
+                           master_seed=DEFAULT_MASTER_SEED)
+    engine._run_block(cfg, 0, 416)
+    split_rows = 2 * 100 * 6 * 416  # two sums per scan, each of 2496 rows
+    assert len(calls) < 0.032 * split_rows  # 2.13 %
 
 
 @pytest.mark.parametrize("workers", [1, 2])
