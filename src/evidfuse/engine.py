@@ -11,18 +11,20 @@ grouping.
 Slabs. One engine call, :func:`_run_block`, runs a slab: as many whole blocks
 as keep its ``(scans, M + 1, rules, runs)`` posterior store within
 :data:`_SLAB_BYTES` (8 MiB), worked out from the config as scans x (M + 1) x
-rules doubles per run, and at least one block. It returns one partial per
-block. The default config (100 scans, 6 rules, M = 2) gets 18 blocks, 576
-runs, per slab; a 128-run, 20-scan, 10-label config is one slab. A slab draws
-all its declarations at once from the closed form of the streams
-(:func:`run_floats`), with the inverse CDF of
-:func:`~evidfuse.montecarlo.sample_decision`, the scalar reference.
-:func:`run_slabs` runs the slabs inline, and maps them over a process pool of
-at most ``workers`` processes only when there are two or more slabs: a run
-count that fits one slab never forks. The pool's modules
-(``concurrent.futures.process`` and ``multiprocessing``) are imported only
-when a pool starts, so a simulation on one worker or of one slab never loads
-them.
+rules doubles per run, and at least one block. It returns one array, a
+``(scans, M + 2, rules)`` partial per block: the run-order mass sums in planes
+``0..M``, the correct-decision counts in plane ``M + 1``. The default config
+(100 scans, 6 rules, M = 2) gets 18 blocks, 576 runs, per slab; a 128-run,
+20-scan, 10-label config is one slab. A slab draws all its declarations at
+once from the closed form of the streams (:func:`run_floats`), with the
+inverse CDF of :func:`~evidfuse.montecarlo.sample_decision`, the scalar
+reference. :func:`run_slabs` runs the slabs inline, and maps them over a
+process pool of at most ``workers`` processes only when there are two or
+more slabs: a run count that fits one slab never forks. Either way it adds
+each block's partial to one running total, in block order, as its slab
+arrives. The pool's modules (``concurrent.futures.process`` and
+``multiprocessing``) are imported only when a pool starts, so a simulation on
+one worker or of one slab never loads them.
 
 Batch engine. A slab tracks every rule on every one of its runs at once, in
 ``(M + 1, rules, runs)`` arrays: plane ``i < M`` is the singleton of label
@@ -40,8 +42,8 @@ normalization floor, the triple :func:`~evidfuse.rules.combine` runs on. Each
 t-norm and t-conorm runs on one slice ``rules[a:b]`` per maximal run of
 consecutive rules that share it. Every rule is normalized: a rule with no
 floor divides by exactly 1.0, as a rule with no t-conorm divides by ``inf``.
-Blocks return compact ``(scans, M + 1, rules)`` sums, and each rule's means
-keep that plane order in its :class:`~evidfuse.montecarlo.AveragedTrace`.
+Each rule's means keep the partial's plane order in its
+:class:`~evidfuse.montecarlo.AveragedTrace`.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -82,7 +84,8 @@ rule and scan context.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, groupby, repeat
+from contextlib import ExitStack
+from itertools import accumulate, groupby, repeat
 from math import frexp, fsum, ldexp
 
 import numpy as np
@@ -262,11 +265,11 @@ def _slab_runs(cfg: MonteCarloConfig) -> int:
     return CHUNK_RUNS * max(1, _SLAB_BYTES // block_bytes)
 
 
-def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Mass sums ``(scans, M + 1, rules)`` and correct-decision counts
-    ``(scans, rules)`` of each block of the slab of runs [start, stop), in
-    block order; ``start`` is a block boundary, and each block's runs are
-    added in run order."""
+def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
+    """The partial sums ``(blocks, scans, M + 2, rules)`` of the slab of runs
+    [start, stop), a row per block in block order: planes ``0..M`` are the
+    block's mass sums, each block's runs added in run order, and plane
+    ``M + 1`` its correct-decision counts. ``start`` is a block boundary."""
     frame = cfg.frame
     m = frame.size
     truth = cfg.scenario.expand()
@@ -316,22 +319,20 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> list[tuple[np.nd
         prior = post
 
     failed = np.empty((n_rules, n_runs), dtype=bool)
-    blocks = []
-    for b in range(0, n_runs, CHUNK_RUNS):  # the output audit, the decisions and the sums, on every stored posterior
+    partial = np.zeros((-(-n_runs // CHUNK_RUNS), n_scans, m + 2, n_rules))
+    for b, sums in zip(range(0, n_runs, CHUNK_RUNS), partial):  # the output audit, the decisions and the sums
         block = masses[..., b:b + CHUNK_RUNS]
         sound = (block >= 0.0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= SUM_TOLERANCE)
         failed[:, b:b + CHUNK_RUNS] = ~sound.all(axis=0)
         scores = block[:, :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
             scores = scores + block[:, m:] / m
-        correct = (scores.argmax(axis=1) == truth_index).sum(axis=2, dtype=float)
-        mass_sums = np.zeros(block.shape[:3])
+        (scores.argmax(axis=1) == truth_index).sum(axis=2, dtype=float, out=sums[:, m + 1])
         for r in range(block.shape[3]):  # run order, as the scalar loop
-            mass_sums += block[..., r]
-        blocks.append((mass_sums, correct))
+            sums[:, :m + 1] += block[..., r]
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed)
-    return blocks
+    return partial
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:
@@ -353,24 +354,23 @@ def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, f
 def run_slabs(cfg: MonteCarloConfig, workers: int) -> list[AveragedTrace]:
     """The averaged traces of :func:`~evidfuse.montecarlo.run_monte_carlo`:
     the slabs inline, or over a pool of at most ``workers`` processes when
-    there are two or more, and their blocks merged in block order."""
+    there are two or more, each block added to one running total, in block
+    order, as its slab arrives."""
     step = _slab_runs(cfg)
     starts = range(0, cfg.runs, step)
     stops = [min(start + step, cfg.runs) for start in starts]
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            slabs = list(pool.map(_run_block, repeat(cfg), starts, stops))
-    else:
-        slabs = list(map(_run_block, repeat(cfg), starts, stops))
-
     truth = cfg.scenario.expand()
-    mass_total = np.zeros((len(truth), cfg.frame.size + 1, len(cfg.rules)))
-    correct_total = np.zeros((len(truth), len(cfg.rules)))
-    for mass_sums, correct in chain.from_iterable(slabs):  # block order: merge is worker-count invariant
-        mass_total += mass_sums
-        correct_total += correct
-    means = mass_total / cfg.runs  # (scans, M + 1, rules): each rule's masses keep the engine's planes
-    return [AveragedTrace(rule_cfg, cfg.frame, truth, means[..., j], correct_total[:, j] / cfg.runs)
+    m = cfg.frame.size
+    total = np.zeros((len(truth), m + 2, len(cfg.rules)))
+    with ExitStack() as stack:
+        map_slabs = map
+        if workers > 1 and len(starts) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            map_slabs = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(starts)))).map
+        for slab in map_slabs(_run_block, repeat(cfg), starts, stops):
+            for block in slab:  # block order: the merge is worker-count invariant
+                total += block
+    means = total / cfg.runs  # each rule's masses keep the engine's planes
+    return [AveragedTrace(rule_cfg, cfg.frame, truth, means[:, :m + 1, j], means[:, m + 1, j])
             for j, rule_cfg in enumerate(cfg.rules)]

@@ -21,7 +21,7 @@ configured operator pair.
   degenerate fusion when that total is at or below the floor.
 
 :func:`combine` is the only implementation, and the batch engine of
-:mod:`~evidfuse.montecarlo` reads the same description. With the product
+:mod:`~evidfuse.engine` reads the same description. With the product
 t-norm and the sum t-conorm, TCN differs from PCR5 only by its floor.
 """
 

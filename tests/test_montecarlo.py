@@ -421,11 +421,10 @@ def test_slab_holds_whole_blocks_within_its_byte_budget():
         rules=default_rules(), runs=100, master_seed=1)
     assert engine._slab_runs(long_track) == montecarlo.CHUNK_RUNS
     slab = engine._run_block(cfg, 0, 70)  # a slab's blocks, each summed on its own
-    assert len(slab) == 3
-    for (mass_sums, correct), start in zip(slab, (0, 32, 64)):
+    assert slab.shape == (3, 100, 2 + 2, 6)
+    for block, start in zip(slab, (0, 32, 64)):
         alone, = engine._run_block(cfg, start, min(start + 32, 70))
-        assert mass_sums.tobytes() == alone[0].tobytes()
-        assert correct.tobytes() == alone[1].tobytes()
+        assert block.tobytes() == alone.tobytes()
 
 
 def first_failure_in_the_second_slab_config():
@@ -692,6 +691,26 @@ def test_engine_memory_does_not_grow_with_the_subsets():
     assert [trace.masses.shape for trace in traces] == [(20, 17)] * 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_memory_does_not_grow_with_the_runs(monkeypatch, workers):
+    # every 32-run block is its own slab, so partial sums kept until the end
+    # would add one block's (scans, M + 2, rules) sums, 11.5 KB here, per 32
+    # runs: 1.4 MB more at 4096 runs than at 256
+    monkeypatch.setattr(engine, "_SLAB_BYTES", 1)
+    frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
+    cfg = MonteCarloConfig(scenario=Scenario(frame, (("L0", 5), ("L15", 5))),
+                           confusion=uniform_diagonal_confusion(frame, 0.7), rules=tuple(ALL_RULES), runs=256,
+                           master_seed=16)
+    for runs in (256, 4096):
+        tracemalloc.start()
+        try:
+            run_monte_carlo(replace(cfg, runs=runs), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25e6, runs
+
+
 def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
     # the two gates above, unedited, with every engine sum on the array path
     monkeypatch.setattr(engine, "_EXACT_SUM_MIN_ROWS", 1)
@@ -720,6 +739,23 @@ CANCELLING = (1e-05, -1e-05, 3e-05, -3e-05, -1e-19, 1e-19)
 #: The first row sums to a tie, 1 + 33 * 2**-53; the second, whose smallest
 #: term is one ulp below that threshold, to just under it.
 AT_THE_EXACT_THRESHOLD = [(1.0, 2.0**-49, 2.0**-49 + 2.0**-53), (1.0, 2.0**-49 - 2.0**-102, 2.0**-49 + 2.0**-53)]
+
+#: The certified clause's bound B = 2**(e + 3b - 106) at its edge. In units of
+#: u = 2**(e + b - 106), each low part p is at most U = 2**53 u, and the i-th
+#: partial sum of the p (numpy adds the rows of a (k, n) array in order) is
+#: below (i + 1) U, so it rounds by at most 1, 2, 2, 4 (x4), 8 (x8) u. The p
+#: sum's error d is then at most 9u at k = 5 and 61u at k = 13, under
+#: B / 4 = 16u and 64u: no row there tells B from B / 4. At k = 7, |d| <= 17u,
+#: but a row B / 4 certifies has a gap of at least 64u, and |d| > 16u needs
+#: |P| >= 4U, so r and half the gap are multiples of 8u: gap / 2 - |r|, which
+#: |d| must reach for a wrong result, is never in (16u, 17u]. This k = 15 row
+#: (the declared singleton at M = 12) has e = 1: u = 2**-101, U = 2**-48. Each
+#: partial sum of its low parts is a tie that rounds down, by half its spacing,
+#: and the last falls u / 16 short of one: d = 73u - u / 16, with
+#: r = gap / 2 - 72u, so B / 4 would certify res, the double below fsum's,
+#: where B = 256u sends the row to fsum.
+WORST_LOW_PART_ERROR = (1.5 + 15 * 2.0**-52, *(2.0**-48 - c * 2.0**-101 for c in (3, 2, 6, 12, 12, 12, 12)),
+                        2.0**-52 + 88 * 2.0**-101, *[2.0**-98] * 5, -(2.0**-53 + 1089 * 2.0**-105))
 
 terms = (
     st.floats(-2.0, 2.0)
@@ -777,6 +813,7 @@ def fsum_outcome(sums, rows):
          n=0)  # two terms
 @example(rows=[(1.0, *[2.0**-57] * 16, s * 2.0**-110, 0.0) for s in (1, -1, 0)] + [(0.0,) * (MAX_FRAME_SIZE + 3)],
          n=0)  # the widest engine sum
+@example(rows=[WORST_LOW_PART_ERROR], n=0)
 def test_exact_sum_is_fsum_of_each_row(rows, n):
     # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
     n = {1: 1, -1: engine._EXACT_SUM_MIN_ROWS - 1, 0: engine._EXACT_SUM_MIN_ROWS}.get(n, n)
