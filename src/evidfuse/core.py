@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from functools import cached_property
 from math import fsum, isfinite
 from numbers import Real
 from operator import attrgetter, itemgetter, mul
@@ -123,6 +124,12 @@ class Frame(Value):
     ``str``. This is the only check of them; its messages name the field
     ``frame`` (or ``frame[i]``), the key that holds the labels in every input
     file, so loaders pass them on.
+
+    Every label lookup (:meth:`index`, :meth:`singleton`,
+    :meth:`parse_subset`, and the loaders' membership tests) goes through one
+    label-to-index dict, O(1) per label. It is a ``functools.cached_property``,
+    built on the first lookup: it is not a field, so it takes no part in
+    equality, hashing, the repr or :func:`replace`.
     """
 
     labels: tuple[str, ...]
@@ -164,6 +171,11 @@ class Frame(Value):
         """Bitmask of total ignorance (all labels)."""
         return (1 << len(self.labels)) - 1
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """The label-to-index table: ``labels[i]`` maps to ``i``."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def singleton(self, label: str) -> int:
         """Bitmask of the singleton subset containing only `label`."""
         return 1 << self.index(label)
@@ -171,9 +183,12 @@ class Frame(Value):
     def index(self, label: str) -> int:
         """Position of `label` in the frame, raising on unknown labels."""
         try:
-            return self.labels.index(label)
-        except ValueError:
-            raise FrameError("unknown label %r (frame is %s)" % (label, list(self.labels))) from None
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise self._unknown(label) from None
+
+    def _unknown(self, label: object) -> FrameError:
+        return FrameError("unknown label %r (frame is %s)" % (label, list(self.labels)))
 
     def format_subset(self, bits: int) -> str:
         """Spell a focal set as its labels joined by '|' in frame order."""
@@ -184,9 +199,13 @@ class Frame(Value):
         """Inverse of :meth:`format_subset`; rejects empty and repeated labels."""
         if not text:
             raise FrameError("empty subset spelling")
+        positions = self._positions
         bits = 0
         for label in text.split(SUBSET_SEPARATOR):
-            bit = self.singleton(label)
+            try:
+                bit = 1 << positions[label]
+            except KeyError:
+                raise self._unknown(label) from None
             if bits & bit:
                 raise FrameError("label %r repeated in subset spelling %r" % (label, text))
             bits |= bit
@@ -208,11 +227,11 @@ def make_frame(labels: Iterable[str]) -> Frame:
 
 def _coerce_subset(frame: Frame, key: object) -> int:
     """Accept a focal set given as an ``int`` bitmask or a '|'-joined spelling."""
+    if isinstance(key, str):  # first: loaded files spell every focal set
+        return frame.parse_subset(key)
     if _is_integer(key):
         frame._check_bits(key)
         return key
-    if isinstance(key, str):
-        return frame.parse_subset(key)
     raise FrameError("cannot interpret %r as a focal set" % (key,))
 
 
@@ -225,6 +244,8 @@ def _is_integer(value: object) -> bool:
 def _is_real(value: object) -> bool:
     """An int, a float or a numpy real scalar, but not a bool: a mass or a
     probability is never read from ``True`` or from a numeric string."""
+    if type(value) is float:  # what every loader gives: skip the ABC check
+        return True
     return isinstance(value, Real) and not isinstance(value, bool)
 
 

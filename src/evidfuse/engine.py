@@ -20,8 +20,11 @@ once from the closed form of the streams (:func:`run_floats`), with the
 inverse CDF of :func:`~evidfuse.montecarlo.sample_decision`, the scalar
 reference. :func:`run_slabs` runs the slabs inline, and maps them over a
 process pool of at most ``workers`` processes only when there are two or
-more slabs: a run count that fits one slab never forks. Either way it adds
-each block's partial to one running total, in block order, as its slab
+more slabs: a run count that fits one slab never forks. The pool gets a
+window of :data:`_SLABS_PER_WORKER` slabs per process at a time, the next
+slab submitted as the oldest is merged, so the main process holds a fixed
+number of futures and results however many runs there are. Either way it
+adds each block's partial to one running total, in block order, as its slab
 arrives. The pool's modules (``concurrent.futures.process`` and
 ``multiprocessing``) are imported only when a pool starts, so a simulation on
 one worker or of one slab never loads them.
@@ -74,7 +77,10 @@ above the floor or by 1.0, so they sum to about 1 or to at most the floor.
 After the loop, in one pass per block of the store, every stored posterior
 gets the scalar output audit (nonnegative, total within
 :data:`~evidfuse.core.SUM_TOLERANCE` of 1), its decision and its block's
-run-order sum. The audit is the only failure check: every floor is below
+run-order sum. A block's runs are added, in run order, into one contiguous
+``(scans, M + 1, rules)`` array, which is then copied into the partial's mass
+planes: added there directly, each add would step over the count plane once
+per scan. The audit is the only failure check: every floor is below
 ``1 - SUM_TOLERANCE``, so an unnormalized lane fails it at the scan where its
 total fell, and the flagged set is the one a per-scan audit gives. The lowest
 flagged run, then its first flagged rule in config order, is replayed through
@@ -84,6 +90,8 @@ rule and scan context.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import ExitStack
 from itertools import accumulate, groupby, repeat
 from math import frexp, fsum, ldexp
@@ -102,6 +110,12 @@ from .tracker import run_track
 #: config on one core (x86_64, numpy 2.4), 4 to 8 MiB ran fastest; 2, 16
 #: and 32 MiB were slower.
 _SLAB_BYTES = 8 << 20
+
+#: Slabs per pool process that :func:`run_slabs` keeps submitted and not yet
+#: merged: enough that a process never waits for the next slab while the
+#: main process merges, and few enough that the main process holds a fixed
+#: number of futures and results whatever the run count.
+_SLABS_PER_WORKER = 2
 
 #: Fewest rows that :func:`_exact_sum` sums as arrays. Below about 64 rows of
 #: 11 or 13 terms, and about 128 rows of 3 or 5, one ``fsum`` per row is
@@ -328,8 +342,10 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
             scores = scores + block[:, m:] / m
         (scores.argmax(axis=1) == truth_index).sum(axis=2, dtype=float, out=sums[:, m + 1])
+        run_sums = np.zeros((n_scans, m + 1, n_rules))  # contiguous: one inner loop per add, not one per scan
         for r in range(block.shape[3]):  # run order, as the scalar loop
-            sums[:, :m + 1] += block[..., r]
+            run_sums += block[..., r]
+        sums[:, :m + 1] = run_sums
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed)
     return partial
@@ -351,11 +367,31 @@ def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, f
     )
 
 
+def _window_map(pool, window: int, fn: Callable, *iterables: Iterable) -> Iterator:
+    """``pool.map(fn, *iterables)`` on the executor ``pool``, submitting a
+    call only while fewer than ``window`` results are still to be yielded, so
+    the caller holds at most ``window`` futures however many calls there are.
+    Results come in call order; a call that raises, or closing the iterator
+    early, cancels the calls not yet started."""
+    pending = deque()
+    try:
+        for args in zip(*iterables):
+            pending.append(pool.submit(fn, *args))
+            if len(pending) == window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def run_slabs(cfg: MonteCarloConfig, workers: int) -> list[AveragedTrace]:
     """The averaged traces of :func:`~evidfuse.montecarlo.run_monte_carlo`:
     the slabs inline, or over a pool of at most ``workers`` processes when
-    there are two or more, each block added to one running total, in block
-    order, as its slab arrives."""
+    there are two or more, with at most :data:`_SLABS_PER_WORKER` slabs per
+    process submitted and not yet merged; each block is added to one running
+    total, in block order, as its slab arrives."""
     step = _slab_runs(cfg)
     starts = range(0, cfg.runs, step)
     stops = [min(start + step, cfg.runs) for start in starts]
@@ -363,12 +399,15 @@ def run_slabs(cfg: MonteCarloConfig, workers: int) -> list[AveragedTrace]:
     m = cfg.frame.size
     total = np.zeros((len(truth), m + 2, len(cfg.rules)))
     with ExitStack() as stack:
-        map_slabs = map
         if workers > 1 and len(starts) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            map_slabs = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(starts)))).map
-        for slab in map_slabs(_run_block, repeat(cfg), starts, stops):
+            workers = min(workers, len(starts))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            slabs = _window_map(pool, _SLABS_PER_WORKER * workers, _run_block, repeat(cfg), starts, stops)
+        else:
+            slabs = map(_run_block, repeat(cfg), starts, stops)
+        for slab in slabs:
             for block in slab:  # block order: the merge is worker-count invariant
                 total += block
     means = total / cfg.runs  # each rule's masses keep the engine's planes

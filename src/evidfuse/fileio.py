@@ -185,11 +185,12 @@ def load_declarations(path: str, frame: Frame) -> list[str]:
     may start or end with spaces), else the line stripped; blank lines are
     skipped."""
     declarations = []
+    labels = frame._positions
     for number, line in enumerate(_read_text(path).split("\n"), start=1):
-        label = line if line in frame.labels else line.strip()
+        label = line if line in labels else line.strip()
         if not label:
             continue
-        if label not in frame.labels:
+        if label not in labels:
             raise ConfigError(
                 "%s, line %d: unknown label %r (frame is %s)"
                 % (path, number, label, list(frame.labels))

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from evidfuse import (
     AveragedTrace,
@@ -62,6 +63,25 @@ def test_frame_subset_round_trip():
     assert frame.parse_subset("Charlie|Alpha") == bits
 
 
+SIXTEEN = make_frame(["T%d" % i for i in range(16)])
+
+
+@given(st.integers(1, SIXTEEN.full_set), st.randoms(use_true_random=False))
+def test_frame_parses_a_spelling_in_any_label_order(bits, random):
+    labels = SIXTEEN.format_subset(bits).split("|")
+    random.shuffle(labels)
+    assert SIXTEEN.parse_subset("|".join(labels)) == bits
+
+
+def test_frame_label_table_is_cached_and_not_a_field():
+    frame = make_frame(["Fighter", "Cargo"])
+    assert frame.index("Cargo") == 1 and "_positions" in vars(frame)
+    twin = Frame(["Fighter", "Cargo"])  # no lookup yet: no table
+    assert frame == twin and hash(frame) == hash(twin) and repr(frame) == repr(twin)
+    assert vars(replace(frame)) == vars(twin) == {"labels": ("Fighter", "Cargo")}
+    assert pickle.loads(pickle.dumps(frame)).parse_subset("Cargo|Fighter") == 0b11
+
+
 def test_frame_nonempty_subsets_order():
     assert list(FC_FRAME.nonempty_subsets()) == [1, 2, 3]
     assert len(list(ABC_FRAME.nonempty_subsets())) == 7
@@ -107,10 +127,16 @@ def test_frame_rejects_labels_that_are_not_a_sequence(labels):
 
 
 def test_frame_rejects_unknown_label():
-    with pytest.raises(FrameError):
-        FC_FRAME.singleton("Bomber")
-    with pytest.raises(FrameError):
-        FC_FRAME.parse_subset("Fighter|Bomber")
+    message = "^unknown label %s \\(frame is \\['Fighter', 'Cargo'\\]\\)$"
+    for spelling, unknown in [("Bomber", "Bomber"), ("Fighter|Bomber", "Bomber"), ("Fighter||Cargo", ""),
+                              ("Fighter|", "")]:
+        for lookup in (FC_FRAME.singleton, FC_FRAME.index):
+            with pytest.raises(FrameError, match=message % re.escape(repr(spelling))):
+                lookup(spelling)
+        with pytest.raises(FrameError, match=message % re.escape(repr(unknown))):
+            FC_FRAME.parse_subset(spelling)
+    with pytest.raises(FrameError, match=message % re.escape(repr(["Fighter"]))):
+        FC_FRAME.index(["Fighter"])  # unhashable
 
 
 def test_frame_rejects_empty_and_repeated_subset_spellings():
@@ -190,13 +216,16 @@ def test_make_bba_rejects_a_bool_focal_set(key):
 
 
 def test_make_bba_prunes_zero_masses():
-    m = make_bba(FC_FRAME, {"Fighter": 1.0, "Cargo": 0.0})
-    assert m.masses == {0b01: 1.0}
+    for zero in (0.0, -0.0, 0, np.float64(-0.0)):
+        m = make_bba(FC_FRAME, {"Fighter": 1.0, "Cargo": zero})
+        assert m.masses == {0b01: 1.0}
 
 
 def test_make_bba_rejects_negative_mass():
-    with pytest.raises(MassFunctionError):
-        make_bba(FC_FRAME, {"Fighter": -0.1, "Cargo": 1.1})
+    for value in (-0.1, -1.0, math.nan, math.inf, -math.inf, np.float64(math.nan), -1):
+        text = r"^make_bba: mass %s on Fighter is not a finite nonnegative value$" % re.escape(repr(float(value)))
+        with pytest.raises(MassFunctionError, match=text):
+            make_bba(FC_FRAME, {"Fighter": value, "Cargo": 1.1})
 
 
 def test_make_bba_rejects_empty_set_mass():
@@ -250,9 +279,15 @@ def test_make_bba_rejects_entries_that_are_not_a_mapping(entries):
         make_bba(FC_FRAME, entries)
 
 
+class Label(str):
+    pass
+
+
 @pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)])
 def test_make_bba_accepts_ints_floats_and_numpy_reals(value):
-    assert make_bba(FC_FRAME, {"Fighter": value}).masses == {FC_FRAME.singleton("Fighter"): 1.0}
+    for key in ("Fighter", Label("Fighter"), np.str_("Fighter"), 0b01):  # str subclasses spell as str
+        masses = make_bba(FC_FRAME, {key: value}).masses
+        assert masses == {FC_FRAME.singleton("Fighter"): 1.0} and type(masses[0b01]) is float
 
 
 def test_vacuous_bba():

@@ -6,7 +6,7 @@ import multiprocessing
 import re
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from evidfuse.core import replace
 from fractions import Fraction
 from pathlib import Path
@@ -383,6 +383,44 @@ def test_worker_count_must_be_a_positive_integer(monkeypatch, workers, slab_byte
         run_monte_carlo(small_config(runs=70), workers=workers)
 
 
+class LazyFuture(Future):
+    """A future whose call runs when its result is first read."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.call = fn, args
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            fn, args = self.call
+            try:
+                self.set_result(fn(*args))
+            except ValueError as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+def test_window_map_keeps_at_most_a_window_of_calls_and_cancels_them_on_an_error():
+    submitted, results = [], []
+
+    class LazyPool:
+        def submit(self, fn, *args):
+            submitted.append(LazyFuture(fn, args))
+            return submitted[-1]
+
+    def square(x):
+        if x == 6:
+            raise ValueError("slab 6")
+        return x * x
+
+    with pytest.raises(ValueError, match="^slab 6$"):
+        for result in engine._window_map(LazyPool(), 3, square, range(10)):
+            assert len(submitted) - len(results) <= 3
+            results.append(result)
+    assert results == [0, 1, 4, 9, 16, 25]  # in call order
+    assert len(submitted) == 9 and [future.cancelled() for future in submitted[6:]] == [False, True, True]
+
+
 def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
     started = []
 
@@ -396,8 +434,10 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     cfg = small_config(runs=70)  # three blocks, which fit one slab: no pool
     inline = run_monte_carlo(cfg, workers=1)
@@ -695,20 +735,25 @@ def test_engine_memory_does_not_grow_with_the_subsets():
 def test_engine_memory_does_not_grow_with_the_runs(monkeypatch, workers):
     # every 32-run block is its own slab, so partial sums kept until the end
     # would add one block's (scans, M + 2, rules) sums, 11.5 KB here, per 32
-    # runs: 1.4 MB more at 4096 runs than at 256
+    # runs: 1.4 MB more at 4096 runs than at 256; and a pool handed every slab
+    # at once holds a future and a work item per slab, about 1.3 KB each: the
+    # peak rose 0.22 MB. With a bounded window it moved 0.01-0.03 MB.
     monkeypatch.setattr(engine, "_SLAB_BYTES", 1)
     frame = make_frame(["L%d" % i for i in range(MAX_FRAME_SIZE)])
     cfg = MonteCarloConfig(scenario=Scenario(frame, (("L0", 5), ("L15", 5))),
                            confusion=uniform_diagonal_confusion(frame, 0.7), rules=tuple(ALL_RULES), runs=256,
                            master_seed=16)
+    run_monte_carlo(cfg, workers=workers)  # untraced: a process's first pool sets up state once
+    peaks = []
     for runs in (256, 4096):
         tracemalloc.start()
         try:
             run_monte_carlo(replace(cfg, runs=runs), workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak < 1.25e6, runs
+        assert peaks[-1] < 1.25e6, runs
+    assert peaks[1] < peaks[0] + 0.1e6, peaks
 
 
 def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
