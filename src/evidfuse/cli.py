@@ -40,6 +40,7 @@ from .fileio import (
     load_mass_function,
     load_simulation_config,
     mass_function_to_json,
+    rule_config_from_json,
     rule_file_tag,
     trace_plot_data,
     traces_csv_blocks,
@@ -71,10 +72,10 @@ def _add_rule_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _rule_from_args(args: argparse.Namespace) -> RuleConfig:
-    tnorm = TNorm(args.tnorm) if args.tnorm is not None else None
-    tconorm = TConorm(args.tconorm) if args.tconorm is not None else None
+    """The rule the flags set, read as the config file's rule object is."""
+    flags = {key: getattr(args, key) for key in RuleConfig._fields if getattr(args, key) is not None}
     try:
-        return RuleConfig(Rule(args.rule), tnorm, tconorm)
+        return rule_config_from_json(flags, "")
     except ConfigError as exc:
         # spell the fields RuleConfig names as the flags that set them
         raise ConfigError(re.sub(r"\b(rule|tnorm|tconorm)\b", r"--\1", str(exc))) from None
@@ -129,7 +130,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             lines.append("# redistributed %s: %s" % (subset, format_mass(delta)))
     lines.append("subset,mass")
     for bits in sorted(fused.masses):
-        lines.append(_csv_cells([fused.frame.format_subset(bits), format_mass(fused.masses[bits])]))
+        line = _csv_cells([fused.frame.format_subset(bits), format_mass(fused.masses[bits])])
+        if line.startswith("#"):  # quote the subset, or a reader that skips "#" comments drops the row
+            line = '"%s",%s' % tuple(line.split(","))
+        lines.append(line)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -155,17 +159,17 @@ def _cmd_track(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_simulation_config(args.config)
     overrides = {name: value for name, value in (("runs", args.runs), ("master_seed", args.seed)) if value is not None}
-    if overrides:  # one rebuild, validated once
-        cfg = replace(cfg, **overrides)
-
-    columns = _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    flags = {"runs": "--runs", "workers": "--threads"}  # the fields that flags set; --seed is an int
     try:
+        if overrides:  # one rebuild, validated once
+            cfg = replace(cfg, **overrides)
+        columns = _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
         traces = run_monte_carlo(cfg, workers=workers)
-    except ConfigError as exc:  # spell the field as the flag that sets it
-        raise ConfigError(re.sub(r"\bworkers\b", "--threads", str(exc))) from None
+    except ConfigError as exc:  # spell each field as the flag that sets it
+        raise ConfigError(re.sub(r"\b(%s)\b" % "|".join(flags), lambda match: flags[match[1]], str(exc))) from None
     _write_blocks(args.output, traces_csv_blocks(cfg, traces, columns))
 
     if args.plot_data is not None:

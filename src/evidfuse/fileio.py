@@ -8,13 +8,17 @@ JSON inputs
                         "rules": [{"rule": "tcn", "tnorm": "min",
                         "tconorm": "max"}, ...], "criterion": "belief"}
 
-Subset keys spell the included labels joined by "|" in frame order. Loaders
-check only the JSON containers (a field is present, an object, a list or a
-string); every rule about a value belongs to the type that holds it, and its
-error is passed on through one re-wrap that leads with the field path. Rule,
-operator and criterion names ignore case and surrounding spaces. Input files
-are UTF-8, with or without a leading byte-order mark, and no JSON object may
-repeat a key.
+Subset keys spell the included labels joined by "|" in frame order. Each
+input file has one loader, ``load_*``, which reads it through one JSON reader
+that requires an object. Loaders check only the JSON containers (a field is
+present, an object, a list or a string); every rule about a value belongs to
+the type that holds it, and its error is passed on through one re-wrap that
+leads with the field path. Rule, operator and criterion names ignore case and
+surrounding spaces; the CLI's rule flags are read by the same rule reader.
+Input files are UTF-8, with or without a leading byte-order mark, and no JSON
+object may repeat a key. A rule config has one spelling,
+:func:`rule_config_to_json`, its fields that are set; config files, the CSV's
+rule cells and the plot-data file tags all write it.
 
 CSV outputs quote with the stdlib csv module, print masses with 12
 significant digits, and sanitize frame labels in column names
@@ -28,7 +32,8 @@ with the reached columns, not with the 2^M - 1 subsets. The simulation CSV
 streams: :func:`traces_csv_blocks` checks every trace on the call and then
 formats one block of lines per trace, which the CLI writes as it comes, so a
 writer holds one trace's lines, not the whole file; :func:`traces_to_csv` is
-the same blocks joined.
+the same blocks joined. The fuse CSV quotes a subset cell that starts with
+"#", so a reader that skips "#" comment lines keeps its row.
 """
 
 from __future__ import annotations
@@ -96,14 +101,9 @@ def frame_from_json(data: dict) -> Frame:
     return _checked("", make_frame, _require(data, "frame", list))
 
 
-def mass_function_from_json(data: object) -> MassFunction:
-    if not isinstance(data, dict):
-        raise ConfigError("mass function: expected a JSON object")
-    return _checked("masses", make_bba, frame_from_json(data), _require(data, "masses", dict))
-
-
 def load_mass_function(path: str) -> MassFunction:
-    return mass_function_from_json(_load_json(path))
+    data = _load_json(path, "mass function")
+    return _checked("masses", make_bba, frame_from_json(data), _require(data, "masses", dict))
 
 
 def mass_function_to_json(m: MassFunction) -> dict:
@@ -121,9 +121,7 @@ def confusion_rows_from_json(frame: Frame, data: list, path: str) -> ConfusionMa
 
 
 def load_confusion(path: str) -> ConfusionMatrix:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError("confusion file: expected a JSON object")
+    data = _load_json(path, "confusion file")
     return confusion_rows_from_json(frame_from_json(data), _require(data, "matrix", list), "matrix")
 
 
@@ -137,16 +135,14 @@ def rule_config_from_json(data: object, path: str) -> RuleConfig:
 
 
 def rule_config_to_json(cfg: RuleConfig) -> dict:
-    data = {"rule": cfg.rule.value}
-    if cfg.rule is Rule.TCN:
-        data["tnorm"] = cfg.tnorm.value
-        data["tconorm"] = cfg.tconorm.value
-    return data
+    """The fields of ``cfg`` that are set, by name: the one spelling of a rule
+    config, which config files, CSV cells and file tags all write."""
+    fields = ((key, getattr(cfg, key)) for key in RuleConfig._fields)
+    return {key: value.value for key, value in fields if value is not None}
 
 
-def simulation_config_from_json(data: object) -> MonteCarloConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config file: expected a JSON object")
+def load_simulation_config(path: str) -> MonteCarloConfig:
+    data = _load_json(path, "config file")
     frame = frame_from_json(data)
     confusion = confusion_rows_from_json(frame, _require(data, "confusion", list), "confusion")
     scenario = _checked("", Scenario, frame, tuple(_require(data, "segments", list)))
@@ -162,10 +158,6 @@ def simulation_config_from_json(data: object) -> MonteCarloConfig:
         master_seed=_require(data, "master_seed"),
         criterion=criterion,
     )
-
-
-def load_simulation_config(path: str) -> MonteCarloConfig:
-    return simulation_config_from_json(_load_json(path))
 
 
 def simulation_config_to_json(cfg: MonteCarloConfig) -> dict:
@@ -191,10 +183,7 @@ def load_declarations(path: str, frame: Frame) -> list[str]:
         if not label:
             continue
         if label not in labels:
-            raise ConfigError(
-                "%s, line %d: unknown label %r (frame is %s)"
-                % (path, number, label, list(frame.labels))
-            )
+            raise ConfigError("%s, line %d: %s" % (path, number, frame._unknown(label)))
         declarations.append(label)
     if not declarations:
         raise ConfigError("%s: no declarations found" % path)
@@ -211,9 +200,10 @@ def _read_text(path: str) -> str:
         raise ConfigError("%s: not valid UTF-8 (%s)" % (path, exc)) from exc
 
 
-def _load_json(path: str) -> object:
-    """A JSON file's value; invalid JSON or a key repeated in one object is a
-    ConfigError."""
+def _load_json(path: str, kind: str) -> dict:
+    """The object a JSON file holds, the one reader of every JSON input;
+    invalid JSON, a key repeated in one object, or a value that is not an
+    object (named as ``kind``, the kind of file) is a ConfigError."""
     def unique(pairs: list) -> dict:
         data = {}
         for key, value in pairs:
@@ -223,9 +213,12 @@ def _load_json(path: str) -> object:
         return data
 
     try:
-        return json.loads(_read_text(path), object_pairs_hook=unique)
+        data = json.loads(_read_text(path), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError("%s: invalid JSON (%s)" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("%s: expected a JSON object" % kind)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +298,11 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace],
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
     # the columns of a trace's masses (its singletons, then its full set) and correct_rate
     live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
-    header = _csv_cells(["rule", "tnorm", "tconorm", "scan", "true_type"] + names + ["correct_rate"])
+    header = _csv_cells([*RuleConfig._fields, "scan", "true_type"] + names + ["correct_rate"])
 
     def block(trace: AveragedTrace) -> str:
-        rule = trace.rule
-        tnorm = rule.tnorm.value if rule.tnorm is not None else ""
-        tconorm = rule.tconorm.value if rule.tconorm is not None else ""
-        labels = _csv_cells([rule.rule.value, tnorm, tconorm])
+        spelling = rule_config_to_json(trace.rule)
+        labels = _csv_cells([spelling.get(key, "") for key in RuleConfig._fields])
         heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(truth, 1)]
         rows = [row + [rate] for row, rate in zip(trace.masses.tolist(), trace.correct_rate.tolist())]
         return "\n".join(_mass_lines(heads, rows, live, cfg.frame.full_set + 1)) + "\n"
@@ -326,9 +317,7 @@ def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str
 
 def rule_file_tag(cfg: RuleConfig) -> str:
     """Filesystem-safe tag for one rule configuration."""
-    if cfg.rule is Rule.TCN:
-        return "tcn_%s_%s" % (cfg.tnorm.value, cfg.tconorm.value)
-    return cfg.rule.value
+    return "_".join(rule_config_to_json(cfg).values())
 
 
 def trace_plot_data(trace: AveragedTrace, columns: tuple[list[str], str] | None = None) -> str:

@@ -56,9 +56,10 @@ class Scenario(Value):
             if not isinstance(segment, (tuple, list)) or len(segment) != 2:
                 raise FrameError("segments[%d]: expected a (label, duration) pair, got %r" % (i, segment))
             label, duration = segment
-            if label not in self.frame.labels:
-                raise FrameError("segments[%d]: unknown label %r (frame is %s)"
-                                 % (i, label, list(self.frame.labels)))
+            try:
+                self.frame.index(label)
+            except FrameError as exc:
+                raise FrameError("segments[%d]: %s" % (i, exc)) from None
             if not _is_integer(duration) or duration < 1:
                 raise FrameError("segments[%d]: duration must be a positive integer, got %r" % (i, duration))
         object.__setattr__(self, "segments", tuple(map(tuple, segments)))
@@ -150,8 +151,10 @@ class AveragedTrace(Value):
             raise FrameError("masses and correct_rate must have shapes %s and %s, got %s and %s"
                              % (*want, np.shape(self.masses), np.shape(self.correct_rate)))
         for k, label in enumerate(self.truth):
-            if label not in self.frame.labels:
-                raise FrameError("truth[%d]: unknown label %r (frame is %s)" % (k, label, list(self.frame.labels)))
+            try:
+                self.frame.index(label)
+            except FrameError as exc:
+                raise FrameError("truth[%d]: %s" % (k, exc)) from None
 
     @property
     def mean_masses(self) -> np.ndarray:

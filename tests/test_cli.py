@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -126,6 +127,22 @@ def test_fuse_csv_quotes_labels_with_commas_and_quotes(tmp_path, capsys):
     assert rows[0] == ["subset", "mass"]
     assert [row[0] for row in rows[1:]] == [frame[0], frame[1], both]
     assert [float(row[1]) for row in rows[1:]] == pytest.approx([0.495, 0.495, 0.01], abs=1e-12)
+
+
+def test_fuse_csv_quotes_a_subset_that_starts_like_a_comment(tmp_path, capsys):
+    # unquoted, "#A,0.54" reads as a comment line, like the report's "# rule:"
+    frame = ["#A", "B"]
+    for name, label in (("m1.json", "#A"), ("m2.json", "B")):
+        (tmp_path / name).write_text(json.dumps({"frame": frame, "masses": {label: 0.6, "#A|B": 0.4}}),
+                                     encoding="utf-8")
+    code = main(["fuse", str(tmp_path / "m1.json"), str(tmp_path / "m2.json"),
+                 "--rule", "pcr5", "--report", "--format", "csv"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    rows = list(csv.reader(lines))
+    assert rows[0] == ["subset", "mass"]
+    assert [row[0] for row in rows[1:]] == ["#A", "B", "#A|B"]
+    assert math.fsum(float(row[1]) for row in rows[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fuse_total_conflict_exits_3(workdir, capsys):
@@ -528,7 +545,7 @@ def test_simulate_rejects_bad_runs_override(workdir, tmp_path, capsys):
     code = main(["simulate", path(workdir, "sim.json"), "--runs", "0",
                  "--threads", "1", "-o", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "runs" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --runs must be a positive integer, got 0\n"
 
 
 @pytest.mark.parametrize("command, data, message", [

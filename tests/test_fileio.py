@@ -45,6 +45,8 @@ from evidfuse.fileio import (
     load_mass_function,
     load_simulation_config,
     mass_function_to_json,
+    rule_config_from_json,
+    rule_config_to_json,
     rule_file_tag,
     sanitize_column,
     simulation_config_to_json,
@@ -281,8 +283,9 @@ def test_load_simulation_config_field_paths(tmp_path, mutate, message):
     ([["Cargo"]], "segments[0]: expected a (label, duration) pair, got ['Cargo']"),
     ([["Cargo", 0]], "segments[0]: duration must be a positive integer, got 0"),
     ([["Bomber", 3]], "segments[0]: unknown label 'Bomber' (frame is ['Fighter', 'Cargo'])"),
+    ([[["A"], 3]], "segments[0]: unknown label ['A'] (frame is ['Fighter', 'Cargo'])"),
     ([], "segments: scenario needs at least one segment"),
-], ids=["not-a-pair", "zero-duration", "unknown-label", "empty"])
+], ids=["not-a-pair", "zero-duration", "unknown-label", "unhashable-label", "empty"])
 def test_segment_errors_name_the_field_once(tmp_path, segments, message):
     # Scenario's own message, which leads with the field, is passed on unchanged
     data = dict(VALID_CONFIG, segments=segments)
@@ -425,6 +428,28 @@ def test_rule_file_tags():
         rule_file_tag(RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX))
         == "tcn_bounded_max"
     )
+
+
+RULE_SPELLINGS = [{"rule": "dempster"}, {"rule": "pcr5"}] + [
+    {"rule": "tcn", "tnorm": tnorm.value, "tconorm": tconorm.value} for tnorm in TNorm for tconorm in TConorm
+]
+
+
+@pytest.mark.parametrize("spelling", RULE_SPELLINGS, ids=lambda spelling: "_".join(spelling.values()))
+def test_a_rule_config_has_one_reader_and_one_spelling(spelling):
+    # the CLI flags and the config file's rule object read to the same config
+    flags = [arg for key, value in spelling.items() for arg in ("--" + key, value)]
+    cfg = cli._rule_from_args(cli.build_parser().parse_args(["fuse", "a.json", "b.json", *flags]))
+    assert cfg == rule_config_from_json(spelling, "rules[0]")
+    # the config file, the plot-data file tag and the CSV cells write one spelling
+    assert rule_config_to_json(cfg) == spelling
+    assert rule_config_from_json(rule_config_to_json(cfg), "") == cfg
+    assert rule_file_tag(cfg) == "_".join(spelling.values())
+    config = MonteCarloConfig(Scenario(FC_FRAME, (("Cargo", 1),)), uniform_diagonal_confusion(FC_FRAME, 0.9),
+                              (cfg,), runs=1, master_seed=0)
+    trace = AveragedTrace(cfg, FC_FRAME, ("Cargo",), np.zeros((1, 3)), np.zeros(1))
+    assert traces_to_csv(config, [trace]).splitlines()[2].split(",")[:3] == [
+        spelling.get(key, "") for key in ("rule", "tnorm", "tconorm")]
 
 
 def test_plot_data_columns():

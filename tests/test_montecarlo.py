@@ -583,8 +583,10 @@ def test_a_trace_names_a_truth_label_outside_its_frame():
     # the CSV writer looks each truth label up in the frame's cells; an
     # unknown one raised a bare KeyError there
     trace = run_monte_carlo(default_config(runs=8))[0]
-    with pytest.raises(FrameError, match=r"^truth\[3\]: unknown label 'Tank' \(frame is \['Fighter', 'Cargo'\]\)$"):
-        replace(trace, truth=trace.truth[:3] + ("Tank",) * 97)
+    for label in ("Tank", ["A"]):  # an unhashable label gets the same message
+        with pytest.raises(FrameError, match=r"^truth\[3\]: unknown label %s \(frame is \['Fighter', 'Cargo'\]\)$"
+                           % re.escape(repr(label))):
+            replace(trace, truth=trace.truth[:3] + (label,) * 97)
 
 
 @pytest.mark.parametrize("width", [2, 4, 7])
