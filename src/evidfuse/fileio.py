@@ -13,8 +13,10 @@ input file has one loader, ``load_*``, which reads it through one JSON reader
 that requires an object. Loaders check only the JSON containers (a field is
 present, an object, a list or a string); every rule about a value belongs to
 the type that holds it, and its error is passed on through one re-wrap that
-leads with the field path. Rule, operator and criterion names ignore case and
-surrounding spaces; the CLI's rule flags are read by the same rule reader.
+leads with the field path. Rule, operator and criterion names in a file
+ignore case and surrounding spaces. The CLI's rule flags are read by the same
+rule reader, but argparse takes only the exact lowercase names that ``--help``
+lists (``--rule PCR5`` is rejected before the reader runs).
 Input files are UTF-8, with or without a leading byte-order mark, and no JSON
 object may repeat a key. A rule config has one spelling,
 :func:`rule_config_to_json`, its fields that are set; config files, the CSV's
@@ -214,7 +216,9 @@ def _load_json(path: str, kind: str) -> dict:
 
     try:
         data = json.loads(_read_text(path), object_pairs_hook=unique)
-    except json.JSONDecodeError as exc:
+    except ConfigError:  # a duplicate key or bad UTF-8, already named
+        raise
+    except (ValueError, RecursionError) as exc:  # also too deep or too long a number
         raise ConfigError("%s: invalid JSON (%s)" % (path, exc)) from exc
     if not isinstance(data, dict):
         raise ConfigError("%s: expected a JSON object" % kind)

@@ -32,7 +32,7 @@ from functools import cached_property
 from math import fsum
 
 from .core import MassFunction, Value, _combined, _fuse_pairs
-from .errors import ConfigError, MassFunctionError, TotalConflictError, VanishingConsensusError
+from .errors import ConfigError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
 #: A surviving consensus at or below this counts as total conflict.
@@ -113,12 +113,7 @@ def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction
                 % (tnorm.value, tconorm.value)
             )
         masses = {bits: value / total for bits, value in masses.items()}
-    # the audit's messages read "where: ..."; the rule's name goes before the
-    # colon only when one is raised, so a fusion that passes never builds it
-    try:
-        return _combined(m1.frame, masses, where="")
-    except MassFunctionError as exc:
-        raise MassFunctionError("%s_combine%s" % (cfg.rule.value, exc)) from None
+    return _combined(m1.frame, masses, where="%s_combine" % cfg.rule.value)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -192,6 +192,18 @@ def test_fuse_non_utf8_file_exits_2(workdir, capsys):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"frame": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    pytest.param('{"frame": ' + "1" * 5_000 + "}", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")),
+], ids=["too-deep", "too-many-digits"])
+def test_fuse_json_past_the_parser_limits_exits_2(workdir, capsys, text):
+    bad = workdir / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["fuse", str(bad), str(bad), "--rule", "pcr5"]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: invalid JSON (" % bad)
+
+
 @pytest.mark.parametrize("label", ["Fig\nhter", "Fighter\r"])
 def test_fuse_label_with_line_break_exits_2(workdir, capsys, label):
     bad = workdir / "bad.json"
@@ -394,6 +406,15 @@ def test_simulate_plot_data(workdir, tmp_path):
     assert names == ["dempster.dat", "pcr5.dat", "tcn_min_max.dat"]
     header = (plotdir / "pcr5.dat").read_text(encoding="utf-8").splitlines()[0]
     assert header == "# scan m_Fighter m_Cargo"
+
+
+def test_simulate_plot_data_on_a_file_exits_2_and_writes_no_csv(workdir, tmp_path, capsys):
+    taken, out = tmp_path / "taken", tmp_path / "res.csv"
+    taken.write_text("", encoding="utf-8")
+    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1",
+                 "--plot-data", str(taken), "-o", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_invalid_config_exits_2(workdir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 import tracemalloc
 from evidfuse.core import replace
 
@@ -140,6 +141,25 @@ def test_load_mass_function_rejects_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_mass_function(str(path))
+
+
+# parse failures that are not a JSONDecodeError: nesting past the recursion
+# limit, and an integer longer than the interpreter converts
+TOO_LONG_AN_INT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="no limit on integer digits")
+MALFORMED_JSON = [
+    pytest.param('{"frame": ' + "[" * 100_000 + "]" * 100_000 + "}", id="too-deep"),
+    pytest.param('{"frame": ' + "1" * 5_000 + "}", id="too-many-digits", marks=TOO_LONG_AN_INT),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON)
+@pytest.mark.parametrize("load", [load_mass_function, load_confusion, load_simulation_config])
+def test_every_loader_reports_a_parse_failure_as_invalid_json(tmp_path, load, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^%s: invalid JSON \\(" % re.escape(str(path))):
+        load(str(path))
 
 
 def write_with_bom(tmp_path, name, text):

@@ -1,6 +1,7 @@
 """Combination rules: hand oracles, algebraic laws, and error paths."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from evidfuse import (
     TotalConflictError,
     VanishingConsensusError,
     FrameMismatchError,
+    MassFunctionError,
     combine,
     conjunctive_consensus,
     dempster_combine,
@@ -25,6 +27,7 @@ from evidfuse import (
     tcn_combine,
     vacuous_bba,
 )
+from evidfuse.core import MassFunction
 
 import seed_rules
 from conftest import ABC_FRAME, FC_FRAME, dyadic_bbas, float_bbas
@@ -255,6 +258,19 @@ def test_every_output_is_normalized():
         assert math.fsum(fused.masses.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0.0 for v in fused.masses.values())
         assert 0 not in fused.masses
+
+
+@pytest.mark.parametrize("cfg, masses, message", [
+    (RuleConfig(Rule.PCR5), {0b01: 0.6, 0b11: 0.6}, "pcr5_combine: output masses sum to 1.2000000000000002, not 1"),
+    (RuleConfig(Rule.DEMPSTER), {0b01: math.nan, 0b11: 1.0}, "dempster_combine: invalid mass nan"),
+    (RuleConfig(Rule.PCR5), {0b01: math.nan, 0b11: 1.0}, "pcr5_combine: invalid mass nan"),
+    (RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX), {0b01: math.nan, 0b11: 1.0}, "tcn_combine: invalid mass nan"),
+], ids=["pcr5-sum", "dempster-nan", "pcr5-nan", "tcn-nan"])
+def test_the_output_audit_names_the_rule(cfg, masses, message):
+    # MassFunction itself does not validate, so a bad input reaches the audit
+    m1, _ = _fc_pair()
+    with pytest.raises(MassFunctionError, match="^%s$" % re.escape(message)):
+        combine(cfg, m1, MassFunction(FC_FRAME, masses))
 
 
 # ---------------------------------------------------------------------------

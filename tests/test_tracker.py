@@ -224,3 +224,13 @@ def test_run_track_honors_decision_criterion():
     )
     for record in records:
         assert record.decision == decide(record.posterior, DecisionCriterion.MAX_PIGNISTIC)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 30])
+def test_the_count_race_after_n_cargo_declarations(n):
+    # the paper's headline: Dempster needs n + 1 Fighter scans to undo n Cargo
+    # scans, while PCR5 and every TCN pairing switch on the second
+    for cfg in ALL_RULE_CONFIGS:
+        records = run_track(["Cargo"] * n + ["Fighter"] * (n + 2), fc_confusion(), cfg)
+        first = next(k for k, r in enumerate(records[n:], start=1) if r.posterior.mass("Fighter") > 0.5)
+        assert first == (n + 1 if cfg is DEMPSTER else 2), cfg.describe()
