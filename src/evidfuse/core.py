@@ -364,7 +364,7 @@ class ConsensusResult(Value):
 
     def __post_init__(self) -> None:
         total = fsum(self.masses.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:  # NaN fails too
             raise MassFunctionError("consensus masses sum to %.17g, not 1" % total)
 
     @property
@@ -406,8 +406,16 @@ def _fuse_pairs(m1: MassFunction, m2: MassFunction, tnorm: Callable[[float, floa
     Per-subset accumulation uses an accurately rounded sum, which makes the
     result independent of argument order, and of the visiting order, bit for
     bit. Nothing is normalized.
+
+    Each operand is first checked for the invariants :class:`MassFunction`
+    states but does not check (finite, nonnegative masses, total 1 within
+    :data:`SUM_TOLERANCE`), so a bad operand raises in either argument order.
     """
     _require_same_frame(m1, m2)
+    for m in (m1, m2):
+        values = m.masses.values()  # each mass is at most the total, which bounds fsum's partials
+        if not (all(0.0 <= v <= 1.0 + SUM_TOLERANCE for v in values) and abs(fsum(values) - 1.0) <= SUM_TOLERANCE):
+            raise MassFunctionError("operand %s: masses must be finite, nonnegative and sum to 1" % m)
     terms: dict[int, list[float]] = defaultdict(list)
     pairs = sorted(m2.masses.items(), key=itemgetter(1), reverse=True)
     keep_conflict = tconorm is None

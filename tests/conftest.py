@@ -12,6 +12,20 @@ ABC_FRAME = Frame(("Alpha", "Bravo", "Charlie"))
 
 _SCALE_BITS = 12
 
+#: Operands that break an invariant :class:`~evidfuse.core.MassFunction` states
+#: but does not check (it is public and does not validate), over FC_FRAME:
+#: bits 0b01 are Fighter, 0b11 Fighter|Cargo.
+INVALID_OPERANDS = {
+    "nan": {0b01: math.nan, 0b11: 1.0},
+    "inf": {0b01: math.inf, 0b11: 1.0},
+    "-inf": {0b01: -math.inf, 0b11: 1.0},
+    "negative": {0b01: -0.5, 0b11: 1.5},
+    "total-1.5": {0b01: 0.5, 0b11: 1.0},
+}
+
+#: The message of the kernel's operand check, for any operand above.
+INVALID_OPERAND = r"^operand \{.*\}: masses must be finite, nonnegative and sum to 1$"
+
 
 @st.composite
 def dyadic_bbas(draw, frame):

@@ -39,7 +39,7 @@ from evidfuse.core import _fuse_pairs, replace
 from evidfuse.operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 from evidfuse.rng import SplitMix64
 
-from conftest import ABC_FRAME, FC_FRAME, dyadic_bbas, float_bbas
+from conftest import ABC_FRAME, FC_FRAME, INVALID_OPERAND, INVALID_OPERANDS, dyadic_bbas, float_bbas
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,20 @@ def test_consensus_result_reads_the_empty_set_only_from_zero_or_its_empty_spelli
 def test_consensus_result_rejects_masses_that_do_not_sum_to_one():
     with pytest.raises(MassFunctionError, match=r"^consensus masses sum to 0\.90000000000000002, not 1$"):
         ConsensusResult(FC_FRAME, {0: 0.5, 0b11: 0.4})
+
+
+def test_consensus_result_rejects_a_nan_total():
+    with pytest.raises(MassFunctionError, match=r"^consensus masses sum to nan, not 1$"):
+        ConsensusResult(FC_FRAME, {0: math.nan, 0b11: 1.0})
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("masses", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
+def test_conjunctive_consensus_rejects_an_invalid_operand_in_either_order(masses, first):
+    # unchecked, the NaN operand gives a ConsensusResult that holds nan
+    valid, invalid = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1}), MassFunction(FC_FRAME, masses)
+    with pytest.raises(MassFunctionError, match=INVALID_OPERAND):
+        conjunctive_consensus(*((invalid, valid) if first else (valid, invalid)))
 
 
 def test_conjunctive_consensus_frame_mismatch():

@@ -951,8 +951,11 @@ def test_lane_that_fails_only_the_output_audit_is_an_internal_error(monkeypatch)
     assert flagged[0].shape == (6, 40) and flagged[0].all()  # every rule and run, in both blocks
 
 
-#: What the scalar replay raises when every posterior fails a negative tolerance.
-AUDIT_FAILURE = "run 0, rule dempster: scan 1: dempster_combine: output masses sum to 1, not 1"
+#: What the scalar replay raises when every posterior fails a negative tolerance:
+#: no mass function passes it, so the kernel's operand check stops the vacuous
+#: prior at scan 1, before the output audit.
+AUDIT_FAILURE = ("run 0, rule dempster: scan 1: operand {Fighter|Cargo: 1}: "
+                 "masses must be finite, nonnegative and sum to 1")
 
 
 def test_lane_that_fails_the_output_audit_raises_the_scalar_error(monkeypatch, tmp_path, capsys):
