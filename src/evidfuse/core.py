@@ -6,7 +6,8 @@ This module provides the substrate shared by every combination rule:
 * focal sets -- subsets of the frame encoded as ``int`` bitmasks, where
   bit ``i`` set means the ``i``-th frame label is included.
 * :class:`MassFunction` -- a normalized basic belief assignment over the
-  nonempty subsets of a frame.
+  nonempty subsets of a frame. Its constructor is the one check of an
+  assignment: every input and every rule's output passes through it.
 * the unnormalized conjunctive consensus of two sources, the total
   conflict, the pignistic probability transform, and decision extraction.
 * :class:`Value`, the base of every value type in the package, and
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from functools import cached_property
-from math import fsum, isfinite
+from math import fsum
 from numbers import Real
 from operator import attrgetter, itemgetter, mul
 from collections.abc import Callable, Iterable, Mapping
@@ -249,33 +250,6 @@ def _is_real(value: object) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _clean_masses(frame: Frame, entries: Mapping[object, float], *, where: str) -> dict[int, float]:
-    """Validate mass entries shared by all constructors; prunes zeros."""
-    if not isinstance(entries, Mapping):
-        raise MassFunctionError("%s: expected a mapping of focal sets to masses, got %r" % (where, entries))
-    masses: dict[int, float] = {}
-    for key, value in entries.items():
-        bits = _coerce_subset(frame, key)
-        if not _is_real(value):
-            raise MassFunctionError(
-                "%s: mass %r on %s is not a number"
-                % (where, value, frame.format_subset(bits) if bits else "the empty set")
-            )
-        value = float(value)
-        if not isfinite(value) or value < 0.0:
-            raise MassFunctionError(
-                "%s: mass %r on %s is not a finite nonnegative value"
-                % (where, value, frame.format_subset(bits) if bits else "the empty set")
-            )
-        if bits == 0:
-            raise MassFunctionError("%s: mass assigned to the empty set" % where)
-        if bits in masses:
-            raise MassFunctionError("%s: duplicate focal set %s" % (where, frame.format_subset(bits)))
-        if value != 0.0:
-            masses[bits] = value
-    return masses
-
-
 class MassFunction(Value):
     """A normalized basic belief assignment m(.) under Shafer's model.
 
@@ -283,12 +257,52 @@ class MassFunction(Value):
     set never appears and the total is 1 within :data:`SUM_TOLERANCE`. Treat
     instances (including the ``masses`` dict) as read-only values.
 
-    Use :func:`make_bba` to build one from user-supplied entries; it applies
-    full validation and an exact rescale.
+    The constructor is the only check of a mass function, so the rules take
+    their inputs as valid. Each key is the ``int`` bitmask of a nonempty
+    subset of ``frame`` or its ``A|B`` spelling, and no subset is given
+    twice; each mass is a real number (not a ``bool``) in ``[0, 1]``, and
+    their accurate total is 1 within :data:`SUM_TOLERANCE` (which also
+    bounds each mass). The nonzero
+    masses are copied, as floats, into a fresh dict, so a later change to the
+    caller's mapping does not reach the value. The messages name the field
+    ``masses``, the key that holds the entries in a mass-function file, so
+    loaders pass them on. An ``int`` key and a ``float`` mass skip the
+    general key and number checks.
     """
 
     frame: Frame
     masses: dict[int, float]
+
+    def __post_init__(self) -> None:
+        frame, entries = self.frame, self.masses
+        if not isinstance(frame, Frame):
+            raise FrameError("frame: expected a Frame, got %r" % (frame,))
+        if not isinstance(entries, Mapping):
+            raise MassFunctionError("masses: expected a mapping of focal sets to masses, got %r" % (entries,))
+        full, most = frame.full_set, 1.0 + SUM_TOLERANCE  # a larger mass cannot total 1
+        masses: dict[int, float] = {}
+        for key, value in entries.items():
+            if type(key) is not int or not 0 < key <= full:
+                try:
+                    key = _coerce_subset(frame, key)
+                except FrameError as exc:
+                    raise FrameError("masses: %s" % exc) from None
+                if not key:
+                    raise MassFunctionError("masses: mass assigned to the empty set")
+            if type(value) is not float and _is_real(value) and 0.0 <= value <= most:
+                value = float(value)  # in range, so float() cannot overflow
+            if type(value) is not float or not 0.0 <= value <= most:  # NaN fails too
+                raise MassFunctionError("masses: mass %r on %s is not a number in [0, 1]"
+                                        % (value, frame.format_subset(key)))
+            if key in masses:
+                raise MassFunctionError("masses: duplicate focal set %s" % frame.format_subset(key))
+            masses[key] = value
+        total = fsum(masses.values())
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
+            raise MassFunctionError("masses sum to %.17g, not 1" % total)
+        if not all(masses.values()):
+            masses = {bits: value for bits, value in masses.items() if value}
+        object.__setattr__(self, "masses", masses)
 
     def mass(self, key: object) -> float:
         """Mass of a focal set (0.0 for non-focal subsets)."""
@@ -303,39 +317,17 @@ class MassFunction(Value):
 
 
 def make_bba(frame: Frame, entries: Mapping[object, float]) -> MassFunction:
-    """Validate user-supplied mass entries and return a canonical assignment.
+    """A :class:`MassFunction` of user-supplied entries, exactly rescaled.
 
-    The entries must be nonnegative, avoid the empty set, and sum to 1 within
-    :data:`SUM_TOLERANCE`; anything else is rejected. Accepted entries are
-    exactly rescaled by their accurate sum, so the stored masses of every
-    constructed assignment total 1 up to one unit in the last place.
+    The entries pass the constructor's checks, then are divided by their
+    accurate sum unless it is exactly 1.0, so the stored masses of every
+    assignment built here total 1 up to one unit in the last place.
     """
-    masses = _clean_masses(frame, entries, where="make_bba")
-    total = fsum(masses.values())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise MassFunctionError("make_bba: masses sum to %.17g, not 1" % total)
-    if total != 1.0:
-        masses = {bits: value / total for bits, value in masses.items()}
-    return MassFunction(frame, masses)
-
-
-def _combined(frame: Frame, masses: dict[int, float], *, where: str) -> MassFunction:
-    """Internal constructor for rule outputs.
-
-    Validates the same invariants as :func:`make_bba` but never rescales, so
-    a rule whose masses fail to total 1 surfaces as an error instead of being
-    silently renormalized. Zero entries are pruned.
-    """
-    masses = {bits: v for bits, v in masses.items() if v != 0.0}
-    for bits, value in masses.items():
-        if bits == 0:
-            raise MassFunctionError("%s: mass assigned to the empty set" % where)
-        if not isfinite(value) or value < 0.0:
-            raise MassFunctionError("%s: invalid mass %r" % (where, value))
-    total = fsum(masses.values())
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise MassFunctionError("%s: output masses sum to %.17g, not 1" % (where, total))
-    return MassFunction(frame, masses)
+    m = MassFunction(frame, entries)
+    total = fsum(m.masses.values())
+    if total == 1.0:
+        return m
+    return MassFunction(frame, {bits: value / total for bits, value in m.masses.items()})
 
 
 def vacuous_bba(frame: Frame) -> MassFunction:
@@ -406,16 +398,8 @@ def _fuse_pairs(m1: MassFunction, m2: MassFunction, tnorm: Callable[[float, floa
     Per-subset accumulation uses an accurately rounded sum, which makes the
     result independent of argument order, and of the visiting order, bit for
     bit. Nothing is normalized.
-
-    Each operand is first checked for the invariants :class:`MassFunction`
-    states but does not check (finite, nonnegative masses, total 1 within
-    :data:`SUM_TOLERANCE`), so a bad operand raises in either argument order.
     """
     _require_same_frame(m1, m2)
-    for m in (m1, m2):
-        values = m.masses.values()  # each mass is at most the total, which bounds fsum's partials
-        if not (all(0.0 <= v <= 1.0 + SUM_TOLERANCE for v in values) and abs(fsum(values) - 1.0) <= SUM_TOLERANCE):
-            raise MassFunctionError("operand %s: masses must be finite, nonnegative and sum to 1" % m)
     terms: dict[int, list[float]] = defaultdict(list)
     pairs = sorted(m2.masses.items(), key=itemgetter(1), reverse=True)
     keep_conflict = tconorm is None

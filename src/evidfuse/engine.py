@@ -76,8 +76,9 @@ below its floor divides by 1.0 instead and stays unnormalized. Its masses stay
 finite: they are nonnegative, and every scan divides them only by a total
 above the floor or by 1.0, so they sum to about 1 or to at most the floor.
 After the loop, in one pass per block of the store, every stored posterior
-gets the scalar output audit (nonnegative, total within
-:data:`~evidfuse.core.SUM_TOLERANCE` of 1), its decision and its block's
+gets the output audit, the array form of the check the scalar
+:class:`~evidfuse.core.MassFunction` constructor makes (nonnegative, total
+within :data:`~evidfuse.core.SUM_TOLERANCE` of 1), its decision and its block's
 run-order sum. A block's runs are added, in run order, into one contiguous
 ``(scans, M + 1, rules)`` array, which is then copied into the partial's mass
 planes: added there directly, each add would step over the count plane once

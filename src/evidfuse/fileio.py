@@ -105,7 +105,7 @@ def frame_from_json(data: dict) -> Frame:
 
 def load_mass_function(path: str) -> MassFunction:
     data = _load_json(path, "mass function")
-    return _checked("masses", make_bba, frame_from_json(data), _require(data, "masses", dict))
+    return _checked("", make_bba, frame_from_json(data), _require(data, "masses", dict))
 
 
 def mass_function_to_json(m: MassFunction) -> dict:

@@ -16,7 +16,8 @@ configured operator pair.
   it on the empty set, from where it is dropped; otherwise A and B get it
   back in proportion to their masses, scaled by the t-norm/t-conorm ratio.
 * A floor of None leaves the result as it is: PCR5 conserves mass by
-  construction, and the output audit turns any drift into an error. Any
+  construction, and the :class:`~evidfuse.core.MassFunction` constructor,
+  which checks every result, turns any drift into an error. Any
   other floor divides the result by its accurate total and reports a
   degenerate fusion when that total is at or below the floor.
 
@@ -31,7 +32,7 @@ import enum
 from functools import cached_property
 from math import fsum
 
-from .core import MassFunction, Value, _combined, _fuse_pairs
+from .core import MassFunction, Value, _fuse_pairs
 from .errors import ConfigError, TotalConflictError, VanishingConsensusError
 from .operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 
@@ -91,8 +92,9 @@ def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction
     """Fuse two assignments under the configured rule.
 
     Runs the focal-pair kernel with the rule's operators, drops the conflict
-    left on the empty set, then either audits the result as it is (no floor)
-    or divides it by its accurate total. Raises :class:`TotalConflictError`
+    left on the empty set, then either keeps the result as it is (no floor)
+    or divides it by its accurate total; the :class:`MassFunction`
+    constructor checks it either way. Raises :class:`TotalConflictError`
     (Dempster) or :class:`VanishingConsensusError` (TCN) instead of dividing
     by a total at or below the rule's floor.
     """
@@ -113,7 +115,7 @@ def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction
                 % (tnorm.value, tconorm.value)
             )
         masses = {bits: value / total for bits, value in masses.items()}
-    return _combined(m1.frame, masses, where="%s_combine" % cfg.rule.value)
+    return MassFunction(m1.frame, masses)
 
 
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -142,8 +144,8 @@ def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
     Pairs whose product is zero contribute nothing. The output is not
     renormalized: redistribution conserves mass by construction, and the
-    constructor's sum audit turns any implementation error into a failure
-    rather than hiding it.
+    :class:`MassFunction` constructor's total check turns any implementation
+    error into a failure rather than hiding it.
     """
     return combine(RuleConfig(Rule.PCR5), m1, m2)
 

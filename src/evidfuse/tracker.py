@@ -95,12 +95,7 @@ def observation_bba(decision: str, confusion: ConfusionMatrix) -> MassFunction:
     """
     frame = confusion.frame
     c = confusion.diagonal(decision)
-    masses: dict[int, float] = {}
-    if c != 0.0:
-        masses[frame.singleton(decision)] = c
-    if c != 1.0:
-        masses[frame.full_set] = 1.0 - c
-    return MassFunction(frame, masses)
+    return MassFunction(frame, {frame.singleton(decision): c, frame.full_set: 1.0 - c})
 
 
 class TrackRecord(Value):

@@ -5,26 +5,28 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 
-from evidfuse import AveragedTrace, Frame, make_bba
+from evidfuse import AveragedTrace, Frame, FrameError, MassFunctionError, make_bba
 
 FC_FRAME = Frame(("Fighter", "Cargo"))
 ABC_FRAME = Frame(("Alpha", "Bravo", "Charlie"))
 
 _SCALE_BITS = 12
 
-#: Operands that break an invariant :class:`~evidfuse.core.MassFunction` states
-#: but does not check (it is public and does not validate), over FC_FRAME:
-#: bits 0b01 are Fighter, 0b11 Fighter|Cargo.
+#: Mass entries over FC_FRAME that the MassFunction constructor rejects, each
+#: with its error type and message: bits 0b01 are Fighter, 0b11 Fighter|Cargo.
 INVALID_OPERANDS = {
-    "nan": {0b01: math.nan, 0b11: 1.0},
-    "inf": {0b01: math.inf, 0b11: 1.0},
-    "-inf": {0b01: -math.inf, 0b11: 1.0},
-    "negative": {0b01: -0.5, 0b11: 1.5},
-    "total-1.5": {0b01: 0.5, 0b11: 1.0},
+    "nan": ({0b01: math.nan, 0b11: 1.0}, MassFunctionError, "masses: mass nan on Fighter is not a number in [0, 1]"),
+    "inf": ({0b01: math.inf, 0b11: 1.0}, MassFunctionError, "masses: mass inf on Fighter is not a number in [0, 1]"),
+    "-inf": ({0b01: -math.inf, 0b11: 1.0}, MassFunctionError,
+             "masses: mass -inf on Fighter is not a number in [0, 1]"),
+    "negative": ({0b01: -0.5, 0b11: 1.5}, MassFunctionError,
+                 "masses: mass -0.5 on Fighter is not a number in [0, 1]"),
+    "total-1.5": ({0b01: 0.5, 0b11: 1.0}, MassFunctionError, "masses sum to 1.5, not 1"),
+    "overflow": ({0b01: 1e308, 0b11: 1e308}, MassFunctionError,  # their fsum overflows
+                 "masses: mass 1e+308 on Fighter is not a number in [0, 1]"),
+    "outside-frame": ({0b101: 1.0}, FrameError, "masses: focal set 5 is not a bitmask over 2 labels"),
+    "empty-set": ({0: 0.5, 0b11: 0.5}, MassFunctionError, "masses: mass assigned to the empty set"),
 }
-
-#: The message of the kernel's operand check, for any operand above.
-INVALID_OPERAND = r"^operand \{.*\}: masses must be finite, nonnegative and sum to 1$"
 
 
 @st.composite

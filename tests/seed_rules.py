@@ -14,7 +14,7 @@ from collections import defaultdict
 from math import fsum
 
 from evidfuse import Rule, RuleConfig, TConorm, TNorm, TotalConflictError, VanishingConsensusError
-from evidfuse.core import ConsensusResult, MassFunction, _combined, _require_same_frame
+from evidfuse.core import ConsensusResult, MassFunction, _require_same_frame
 
 #: A surviving consensus at or below this counts as total conflict.
 TOTAL_CONFLICT_MARGIN = 1e-12
@@ -90,7 +90,7 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
             % consensus.conflict
         )
     masses = {bits: value / remaining for bits, value in nonempty.items()}
-    return _combined(consensus.frame, masses, where="dempster_combine")
+    return MassFunction(consensus.frame, masses)
 
 
 def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -123,7 +123,7 @@ def pcr5_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
             terms[a].append(va * share)
             terms[b].append(vb * share)
     masses = {bits: fsum(values) for bits, values in terms.items()}
-    return _combined(frame, masses, where="pcr5_combine")
+    return MassFunction(frame, masses)
 
 
 def tcn_combine(
@@ -180,7 +180,7 @@ def tcn_combine(
             % (tnorm.value, tconorm.value)
         )
     normalized = {bits: value / total for bits, value in masses.items()}
-    return _combined(frame, normalized, where="tcn_combine")
+    return MassFunction(frame, normalized)
 
 
 def combine(cfg: RuleConfig, m1: MassFunction, m2: MassFunction) -> MassFunction:

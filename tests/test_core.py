@@ -39,7 +39,7 @@ from evidfuse.core import _fuse_pairs, replace
 from evidfuse.operators import TCONORM_FUNCS, TNORM_FUNCS, TConorm, TNorm
 from evidfuse.rng import SplitMix64
 
-from conftest import ABC_FRAME, FC_FRAME, INVALID_OPERAND, INVALID_OPERANDS, dyadic_bbas, float_bbas
+from conftest import ABC_FRAME, FC_FRAME, INVALID_OPERANDS, dyadic_bbas, float_bbas
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +205,14 @@ def _read_focal_set(reader, key):
     for key in NON_KEYS
 ], ids=str)
 def test_a_focal_set_is_only_a_bitmask_or_a_spelling(reader, key):
-    with pytest.raises(FrameError, match=r"^cannot interpret %s as a focal set$" % re.escape(repr(key))):
+    field = "masses: " if reader == "make_bba" else ""  # the constructor names its field
+    with pytest.raises(FrameError, match=r"^%scannot interpret %s as a focal set$" % (field, re.escape(repr(key)))):
         _read_focal_set(reader, key)
 
 
 @pytest.mark.parametrize("key", [True, False])
 def test_make_bba_rejects_a_bool_focal_set(key):
-    with pytest.raises(FrameError, match=r"^cannot interpret %s as a focal set$" % key):
+    with pytest.raises(FrameError, match=r"^masses: cannot interpret %s as a focal set$" % key):
         make_bba(FC_FRAME, {key: 0.5, "Cargo": 0.5})
 
 
@@ -222,8 +223,8 @@ def test_make_bba_prunes_zero_masses():
 
 
 def test_make_bba_rejects_negative_mass():
-    for value in (-0.1, -1.0, math.nan, math.inf, -math.inf, np.float64(math.nan), -1):
-        text = r"^make_bba: mass %s on Fighter is not a finite nonnegative value$" % re.escape(repr(float(value)))
+    for value in (-0.1, -1.0, math.nan, math.inf, -math.inf, np.float64(math.nan), -1, 10 ** 400):
+        text = r"^masses: mass %s on Fighter is not a number in \[0, 1\]$" % re.escape(repr(value))
         with pytest.raises(MassFunctionError, match=text):
             make_bba(FC_FRAME, {"Fighter": value, "Cargo": 1.1})
 
@@ -261,21 +262,22 @@ def test_make_bba_keeps_exact_unit_totals_bitwise():
 
 
 def test_make_bba_rejects_duplicate_keys():
-    with pytest.raises(MassFunctionError):
-        make_bba(FC_FRAME, {"Fighter": 0.5, 0b01: 0.5})
+    for entries in ({"Fighter": 0.5, 0b01: 0.5}, {"Fighter": 0.0, 0b01: 1.0}):  # a zero mass names its subset too
+        with pytest.raises(MassFunctionError, match=r"^masses: duplicate focal set Fighter$"):
+            make_bba(FC_FRAME, entries)
 
 
 @pytest.mark.parametrize("value", [True, np.True_, "1.0", "1", None, [1.0]])
 def test_make_bba_rejects_masses_that_are_not_numbers(value):
     # float() would read True and "1.0" as a unit mass
-    with pytest.raises(MassFunctionError, match=r"make_bba: mass .* on Fighter is not a number"):
+    with pytest.raises(MassFunctionError, match=r"^masses: mass .* on Fighter is not a number"):
         make_bba(FC_FRAME, {"Fighter": value})
 
 
 @pytest.mark.parametrize("entries", [[("Fighter", 1.0)], 5])
 def test_make_bba_rejects_entries_that_are_not_a_mapping(entries):
     # .items() would otherwise fail with AttributeError
-    with pytest.raises(MassFunctionError, match=r"^make_bba: expected a mapping of focal sets to masses, got "):
+    with pytest.raises(MassFunctionError, match=r"^masses: expected a mapping of focal sets to masses, got "):
         make_bba(FC_FRAME, entries)
 
 
@@ -288,6 +290,28 @@ def test_make_bba_accepts_ints_floats_and_numpy_reals(value):
     for key in ("Fighter", Label("Fighter"), np.str_("Fighter"), 0b01):  # str subclasses spell as str
         masses = make_bba(FC_FRAME, {key: value}).masses
         assert masses == {FC_FRAME.singleton("Fighter"): 1.0} and type(masses[0b01]) is float
+
+
+@pytest.mark.parametrize("masses, error, message", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
+def test_an_invalid_mass_function_cannot_be_built(masses, error, message):
+    # the one check: a bad key or mass raises here, so no rule meets it
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        MassFunction(FC_FRAME, masses)
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        replace(vacuous_bba(FC_FRAME), masses=masses)
+
+
+def test_mass_function_rejects_a_frame_that_is_not_a_frame():
+    with pytest.raises(FrameError, match=r"^frame: expected a Frame, got \('Fighter', 'Cargo'\)$"):
+        MassFunction(("Fighter", "Cargo"), {0b01: 1.0})
+
+
+def test_a_mass_function_keeps_its_own_copy_of_the_entries():
+    entries = {0b01: 0.75, 0b10: 0.0, 0b11: 0.25}
+    m = MassFunction(FC_FRAME, entries)
+    entries[0b01] = math.nan
+    entries[0b10] = 0.5
+    assert m.masses == {0b01: 0.75, 0b11: 0.25}
 
 
 def test_vacuous_bba():
@@ -357,12 +381,13 @@ def test_consensus_result_rejects_a_nan_total():
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.parametrize("masses", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
-def test_conjunctive_consensus_rejects_an_invalid_operand_in_either_order(masses, first):
-    # unchecked, the NaN operand gives a ConsensusResult that holds nan
-    valid, invalid = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1}), MassFunction(FC_FRAME, masses)
-    with pytest.raises(MassFunctionError, match=INVALID_OPERAND):
-        conjunctive_consensus(*((invalid, valid) if first else (valid, invalid)))
+@pytest.mark.parametrize("masses, error, message", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
+def test_conjunctive_consensus_rejects_an_invalid_operand_in_either_order(masses, error, message, first):
+    # the operand is refused as it is built, before the kernel could meet it
+    valid = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1})
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        conjunctive_consensus(*((MassFunction(FC_FRAME, masses), valid) if first
+                                else (valid, MassFunction(FC_FRAME, masses))))
 
 
 def test_conjunctive_consensus_frame_mismatch():

@@ -129,7 +129,7 @@ def test_load_mass_function_errors(tmp_path):
 @pytest.mark.parametrize("value", [True, "1.0", None])
 def test_loaders_pass_on_the_types_number_check(tmp_path, value):
     # JSON true or "1.0" is not a mass or a probability; the message is the type's own
-    with pytest.raises(ConfigError, match=r"^masses: make_bba: mass .* on F is not a number"):
+    with pytest.raises(ConfigError, match=r"^masses: mass .* on F is not a number"):
         load_mass_function(write_json(tmp_path, "m.json", {"frame": ["F", "C"], "masses": {"F": value}}))
     matrix = {"frame": ["F", "C"], "matrix": [[value, 0.0], [0.0, 1.0]]}
     with pytest.raises(ConfigError, match=r"^matrix: confusion matrix row 0 has entry .*, not a number"):
@@ -569,16 +569,20 @@ def simulation_outputs(draw, m):
 def track_outputs(draw, m):
     frame = awkward_frame(draw, m)
     masses = sparse_masses(draw, draw(st.integers(1, 4)), frame.full_set)
-    # a focal set may carry an explicit +0.0 or -0.0 in the posterior dict
-    shown = draw(st.sets(st.integers(1, frame.full_set), max_size=3))
     records = [
         TrackRecord(scan=k + 1, declared=draw(st.sampled_from(frame.labels)),
-                    posterior=MassFunction(frame, {bits + 1: value for bits, value in enumerate(row)
-                                                   if value or bits + 1 in shown}),
-                    decision=draw(st.sampled_from(frame.labels)))
+                    posterior=row_posterior(frame, row), decision=draw(st.sampled_from(frame.labels)))
         for k, row in enumerate(masses.tolist())
     ]
     return frame, records
+
+
+def row_posterior(frame, row):
+    """A valid posterior from a drawn row, column ``bits - 1`` per subset: the
+    row over its total, or all mass on the frame when the row is all zero."""
+    total = math.fsum(row)
+    return make_bba(frame, {bits: value / total if total else float(bits == frame.full_set)
+                            for bits, value in enumerate(row, 1)})
 
 
 @settings(max_examples=80, deadline=None)

@@ -952,10 +952,9 @@ def test_lane_that_fails_only_the_output_audit_is_an_internal_error(monkeypatch)
 
 
 #: What the scalar replay raises when every posterior fails a negative tolerance:
-#: no mass function passes it, so the kernel's operand check stops the vacuous
-#: prior at scan 1, before the output audit.
-AUDIT_FAILURE = ("run 0, rule dempster: scan 1: operand {Fighter|Cargo: 1}: "
-                 "masses must be finite, nonnegative and sum to 1")
+#: no mass passes the MassFunction constructor then, not even the replayed
+#: track's vacuous prior, which is built before scan 1.
+AUDIT_FAILURE = "run 0, rule dempster: masses: mass 1.0 on Fighter|Cargo is not a number in [0, 1]"
 
 
 def test_lane_that_fails_the_output_audit_raises_the_scalar_error(monkeypatch, tmp_path, capsys):

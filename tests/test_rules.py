@@ -31,7 +31,7 @@ from evidfuse import rules
 from evidfuse.core import MassFunction
 
 import seed_rules
-from conftest import ABC_FRAME, FC_FRAME, INVALID_OPERAND, INVALID_OPERANDS, dyadic_bbas, float_bbas
+from conftest import ABC_FRAME, FC_FRAME, INVALID_OPERANDS, dyadic_bbas, float_bbas
 
 ALL_RULE_CONFIGS = [
     RuleConfig(Rule.DEMPSTER),
@@ -263,28 +263,31 @@ def test_every_output_is_normalized():
 
 @pytest.mark.parametrize("cfg, masses, message", [
     (RuleConfig(Rule.PCR5), {0b01: 1.1400000000000001, 0b11: 0.06},
-     "pcr5_combine: output masses sum to 1.2000000000000002, not 1"),
-    (RuleConfig(Rule.DEMPSTER), {0b01: math.nan, 0b11: 1.0}, "dempster_combine: invalid mass nan"),
-    (RuleConfig(Rule.PCR5), {0b01: math.nan, 0b11: 1.0}, "pcr5_combine: invalid mass nan"),
-    (RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX), {0b01: math.nan, 0b11: 1.0}, "tcn_combine: invalid mass nan"),
+     "masses: mass 1.1400000000000001 on Fighter is not a number in [0, 1]"),
+    (RuleConfig(Rule.DEMPSTER), {0b01: math.nan, 0b11: 1.0}, "masses: mass nan on Fighter is not a number in [0, 1]"),
+    (RuleConfig(Rule.PCR5), {0b01: math.nan, 0b11: 1.0}, "masses: mass nan on Fighter is not a number in [0, 1]"),
+    (RuleConfig(Rule.TCN, TNorm.MIN, TConorm.MAX), {0b01: math.nan, 0b11: 1.0},
+     "masses: mass nan on Fighter is not a number in [0, 1]"),
 ], ids=["pcr5-sum", "dempster-nan", "pcr5-nan", "tcn-nan"])
 def test_the_output_audit_names_the_rule(cfg, masses, message, monkeypatch):
-    # the kernel rejects an invalid operand, so a defective kernel returns the
-    # bad masses (pcr5-sum: what PCR5's kernel gave for {Fighter: 0.6, Fighter|Cargo: 0.6})
+    # a valid operand gives valid masses, so a stand-in kernel returns the bad
+    # ones (pcr5-sum: what PCR5's kernel gave for {Fighter: 0.6, Fighter|Cargo: 0.6});
+    # the MassFunction constructor checks a rule's output as it checks every input
     monkeypatch.setattr(rules, "_fuse_pairs", lambda *args: dict(masses))
     with pytest.raises(MassFunctionError, match="^%s$" % re.escape(message)):
         combine(cfg, *_fc_pair())
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.parametrize("masses", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
+@pytest.mark.parametrize("masses, error, message", INVALID_OPERANDS.values(), ids=INVALID_OPERANDS.keys())
 @pytest.mark.parametrize("cfg", ALL_RULE_CONFIGS, ids=lambda c: c.describe())
-def test_an_invalid_operand_raises_in_either_order(cfg, masses, first):
-    # unchecked, a NaN passes min and max in one order only (min(nan, x) is NaN,
-    # min(x, nan) is x), and a normalizing rule hides a negative mass or a bad total
-    valid, invalid = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1}), MassFunction(FC_FRAME, masses)
-    with pytest.raises(MassFunctionError, match=INVALID_OPERAND):
-        combine(cfg, *((invalid, valid) if first else (valid, invalid)))
+def test_an_invalid_operand_raises_in_either_order(cfg, masses, error, message, first):
+    # unchecked, a NaN would pass min and max in one order only (min(nan, x) is NaN,
+    # min(x, nan) is x), and a normalizing rule would hide a negative mass or a bad
+    # total; the operand is refused as it is built, before any rule meets it
+    valid = make_bba(FC_FRAME, {"Fighter": 0.9, "Fighter|Cargo": 0.1})
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        combine(cfg, *((MassFunction(FC_FRAME, masses), valid) if first else (valid, MassFunction(FC_FRAME, masses))))
 
 
 # ---------------------------------------------------------------------------
