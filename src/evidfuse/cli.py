@@ -166,17 +166,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         if overrides:  # one rebuild, validated once
             cfg = replace(cfg, **overrides)
-        columns = _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
+        _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
         traces = run_monte_carlo(cfg, workers=workers)
     except ConfigError as exc:  # spell each field as the flag that sets it
         raise ConfigError(re.sub(r"\b(%s)\b" % "|".join(flags), lambda match: flags[match[1]], str(exc))) from None
     if args.plot_data is not None:  # before the CSV, so a failure leaves no file
         os.makedirs(args.plot_data, exist_ok=True)
-    _write_blocks(args.output, traces_csv_blocks(cfg, traces, columns))
+    _write_blocks(args.output, traces_csv_blocks(cfg, traces))
     if args.plot_data is not None:
         for rule, trace in zip(cfg.rules, traces):
             path = os.path.join(args.plot_data, rule_file_tag(rule) + ".dat")
-            _write_blocks(path, [trace_plot_data(trace, columns)])
+            _write_blocks(path, [trace_plot_data(trace)])
     return 0
 
 

@@ -31,17 +31,20 @@ and A_B "m_A_B") cannot be written and raises a FrameError. Writers format
 only the columns a track reaches (-0.0 prints as -0) and join the zeros
 between them once: the bytes of formatting every cell, at a cost that grows
 with the reached columns, not with the 2^M - 1 subsets. The simulation CSV
-streams: :func:`traces_csv_blocks` checks every trace on the call and then
-formats one block of lines per trace, which the CLI writes as it comes, so a
-writer holds one trace's lines, not the whole file; :func:`traces_to_csv` is
-the same blocks joined. The fuse CSV quotes a subset cell that starts with
-"#", so a reader that skips "#" comment lines keeps its row.
+streams: :func:`traces_csv_blocks`, its one writer, checks every trace on the
+call and then formats one block of lines per trace, which the CLI writes as it
+comes, so a writer holds one trace's lines, not the whole file. A frame's
+column names are built once: the writers share the names of the last frame
+they were built for, so one ``simulate`` builds them once for its CSV and its
+plot data. The fuse CSV quotes a subset cell that starts with "#", so a reader
+that skips "#" comment lines keeps its row.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import json
 import re
@@ -150,15 +153,15 @@ def load_simulation_config(path: str) -> MonteCarloConfig:
     scenario = _checked("", Scenario, frame, tuple(_require(data, "segments", list)))
     raw_rules = _require(data, "rules", list)
     rules = tuple(rule_config_from_json(item, "rules[%d]" % i) for i, item in enumerate(raw_rules))
-    criterion = (_spelling(data, "criterion", DecisionCriterion) if "criterion" in data
-                 else DecisionCriterion.MAX_BELIEF)
+    # the criterion is passed only when the file has one: MonteCarloConfig holds the default
+    optional = {"criterion": _spelling(data, "criterion", DecisionCriterion)} if "criterion" in data else {}
     return MonteCarloConfig(
         scenario=scenario,
         confusion=confusion,
         rules=rules,
         runs=_require(data, "runs"),
         master_seed=_require(data, "master_seed"),
-        criterion=criterion,
+        **optional,
     )
 
 
@@ -234,10 +237,13 @@ def sanitize_column(name: str) -> str:
     return re.sub(r"[^0-9A-Za-z]", "_", name)
 
 
-def _subset_columns(frame: Frame) -> tuple[list[str], str]:
+@functools.lru_cache(maxsize=1)
+def _subset_columns(frame: Frame) -> tuple[tuple[str, ...], str]:
     """Column names of the nonempty subsets in canonical order, and the mapping
     comment; each subset is spelled from the subset without its top label.
-    Two subsets whose sanitized names coincide are a FrameError."""
+    Two subsets whose sanitized names coincide are a FrameError. The result for
+    the last frame is kept, so the writers of one frame build its names once;
+    the names are a tuple, so no caller can change the kept value."""
     spellings, names = [""], ["m"]
     for label in frame.labels:
         column = "_" + sanitize_column(label)
@@ -248,7 +254,7 @@ def _subset_columns(frame: Frame) -> tuple[list[str], str]:
         name, spelling = next((n, s) for n, s in zip(names, spellings) if owners[n] != s)
         raise FrameError("subsets %s and %s share the column name %s" % (spelling, owners[name], name))
     mapping = ", ".join("%s = %s" % pair for pair in zip(names[1:], spellings[1:]))
-    return names[1:], "# columns: %s" % mapping
+    return tuple(names[1:]), "# columns: %s" % mapping
 
 
 def format_mass(value: float) -> str:
@@ -279,20 +285,18 @@ def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
     live = sorted({bits - 1 for record in records for bits in record.posterior.masses})
     rows = [[record.posterior.masses.get(i + 1, 0.0) for i in live] for record in records]
     heads = [_csv_cells([str(r.scan), r.declared, r.decision]) for r in records]
-    lines = [comment, _csv_cells(["scan", "declared", "decision"] + names)]
+    lines = [comment, _csv_cells(["scan", "declared", "decision", *names])]
     lines += _mass_lines(heads, rows, live, frame.full_set)
     return "\n".join(lines) + "\n"
 
 
-def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace],
-                      columns: tuple[list[str], str] | None = None) -> Iterator[str]:
+def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> Iterator[str]:
     """Averaged-trace CSV in blocks of whole lines: the column comment and the
     header, then one block per trace, one row per (rule, scan), in rule order
     then scan. Every trace is checked against ``cfg`` by the call itself,
     before any block is formatted, so a caller that opens its file after the
-    call leaves no file for a refused trace. ``columns`` is
-    ``_subset_columns(cfg.frame)``, passed by a caller that already built it."""
-    names, comment = columns or _subset_columns(cfg.frame)
+    call leaves no file for a refused trace."""
+    names, comment = _subset_columns(cfg.frame)
     truth = cfg.scenario.expand()
     for trace in traces:
         if trace.frame != cfg.frame:
@@ -302,7 +306,7 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace],
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
     # the columns of a trace's masses (its singletons, then its full set) and correct_rate
     live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
-    header = _csv_cells([*RuleConfig._fields, "scan", "true_type"] + names + ["correct_rate"])
+    header = _csv_cells([*RuleConfig._fields, "scan", "true_type", *names, "correct_rate"])
 
     def block(trace: AveragedTrace) -> str:
         spelling = rule_config_to_json(trace.rule)
@@ -314,21 +318,15 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace],
     return chain(["%s\n%s\n" % (comment, header)], map(block, traces))
 
 
-def traces_to_csv(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) -> str:
-    """The :func:`traces_csv_blocks` joined: the whole CSV as one string."""
-    return "".join(traces_csv_blocks(cfg, traces))
-
-
 def rule_file_tag(cfg: RuleConfig) -> str:
     """Filesystem-safe tag for one rule configuration."""
     return "_".join(rule_config_to_json(cfg).values())
 
 
-def trace_plot_data(trace: AveragedTrace, columns: tuple[list[str], str] | None = None) -> str:
-    """Gnuplot-ready columns: scan, then the mean mass of every singleton.
-    ``columns`` is ``_subset_columns(trace.frame)``, if the caller has it."""
+def trace_plot_data(trace: AveragedTrace) -> str:
+    """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
     m = trace.frame.size
-    names, _ = columns or _subset_columns(trace.frame)
+    names, _ = _subset_columns(trace.frame)
     lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(m))]
     template = " ".join(["%d"] + [_MASS_FIELD] * m)
     # columns i < M of a trace's masses are the singletons, in label order

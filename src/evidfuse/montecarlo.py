@@ -76,16 +76,11 @@ class Scenario(Value):
         return tuple(truth)
 
     def switches(self) -> list[tuple[int, str]]:
-        """(1-based scan of each truth change, new type), first segment excluded."""
-        result = []
-        scan = 1
-        previous = None
-        for label, duration in self.segments:
-            if previous is not None and label != previous:
-                result.append((scan, label))
-            previous = label
-            scan += duration
-        return result
+        """(1-based scan, new type) of each switch, in scan order. A switch is a
+        scan whose true type differs from the type of the scan before it, so the
+        first scan is none, and consecutive segments of one type are one run."""
+        truth = self.expand()
+        return [(scan, label) for scan, (before, label) in enumerate(zip(truth, truth[1:]), 2) if label != before]
 
 
 class MonteCarloConfig(Value):
@@ -146,6 +141,10 @@ class AveragedTrace(Value):
     def __post_init__(self) -> None:
         import numpy as np
 
+        if not isinstance(self.rule, RuleConfig):
+            raise ConfigError("rule: expected a RuleConfig, got %r" % (self.rule,))
+        if not isinstance(self.frame, Frame):
+            raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
         want = (len(self.truth), self.frame.size + 1), (len(self.truth),)
         if (np.shape(self.masses), np.shape(self.correct_rate)) != want:
             raise FrameError("masses and correct_rate must have shapes %s and %s, got %s and %s"
@@ -231,11 +230,11 @@ def readaptation_delays(
         raise FrameMismatchError("the scenario (%d scans over %s) is not the trace's (%d scans over %s)" % (
             len(truth), list(scenario.frame.labels), len(trace.truth), list(trace.frame.labels)))
     delays = []
-    for switch_scan, new_type in scenario.switches():
+    switches = scenario.switches()
+    # a switch's window ends where the next switch starts, or after the last scan
+    ends = [scan for scan, _ in switches[1:]] + [len(truth) + 1]
+    for (switch_scan, new_type), end in zip(switches, ends):
         series = trace.singleton_series(new_type)
-        end = switch_scan
-        while end <= len(truth) and truth[end - 1] == new_type:
-            end += 1
         delay = float("inf")
         for scan in range(switch_scan, end):
             if series[scan - 1] > threshold:

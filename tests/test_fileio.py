@@ -53,7 +53,6 @@ from evidfuse.fileio import (
     simulation_config_to_json,
     trace_plot_data,
     traces_csv_blocks,
-    traces_to_csv,
     track_records_to_csv,
 )
 
@@ -422,7 +421,7 @@ def test_simulation_csv_layout():
         master_seed=3,
     )
     traces = run_monte_carlo(cfg)
-    text = traces_to_csv(cfg, traces)
+    text = "".join(traces_csv_blocks(cfg, traces))
     lines = text.splitlines()
     assert lines[1] == (
         "rule,tnorm,tconorm,scan,true_type,"
@@ -468,7 +467,7 @@ def test_a_rule_config_has_one_reader_and_one_spelling(spelling):
     config = MonteCarloConfig(Scenario(FC_FRAME, (("Cargo", 1),)), uniform_diagonal_confusion(FC_FRAME, 0.9),
                               (cfg,), runs=1, master_seed=0)
     trace = AveragedTrace(cfg, FC_FRAME, ("Cargo",), np.zeros((1, 3)), np.zeros(1))
-    assert traces_to_csv(config, [trace]).splitlines()[2].split(",")[:3] == [
+    assert "".join(traces_csv_blocks(config, [trace])).splitlines()[2].split(",")[:3] == [
         spelling.get(key, "") for key in ("rule", "tnorm", "tconorm")]
 
 
@@ -589,7 +588,7 @@ def row_posterior(frame, row):
 @given(data=st.data(), m=st.integers(2, 8))
 def test_simulation_csv_matches_the_dense_writer_byte_for_byte(data, m):
     cfg, traces = data.draw(simulation_outputs(m))
-    assert traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
+    assert "".join(traces_csv_blocks(cfg, traces)) == seed_fileio.traces_to_csv(cfg, traces)
 
 
 @settings(max_examples=80, deadline=None)
@@ -613,7 +612,7 @@ def test_csv_writers_match_on_a_4095_column_frame():
     masses[:, [0, 3, frame.size]] = [[0.5, -0.0, 0.5], [1.0 / 3.0, 0.0, 2.0 / 3.0], [5e-324, 1.0, 0.0]]
     traces = [AveragedTrace(cfg.rules[0], frame, truth, masses, np.array([1.0, 0.5, -0.0])),
               AveragedTrace(cfg.rules[1], frame, truth, np.zeros_like(masses), np.zeros(3))]
-    text = traces_to_csv(cfg, traces)
+    text = "".join(traces_csv_blocks(cfg, traces))
     assert len(text.split("\n")[1].split(",")) == 5 + 4095 + 1
     assert text == seed_fileio.traces_to_csv(cfg, traces)
     records = [TrackRecord(1, "a,b", MassFunction(frame, {1: 0.25, frame.full_set: 0.75}), "戦闘機")]
@@ -631,7 +630,7 @@ def test_engine_traces_write_the_bytes_of_the_dense_writers(m, segments, rules):
                            confusion=uniform_diagonal_confusion(frame, 0.8), rules=tuple(rules),
                            runs=8, master_seed=m)
     traces = run_monte_carlo(cfg)
-    assert traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
+    assert "".join(traces_csv_blocks(cfg, traces)) == seed_fileio.traces_to_csv(cfg, traces)
     for trace in traces:
         assert trace_plot_data(trace) == seed_fileio.trace_plot_data(trace)
 
@@ -642,7 +641,7 @@ def test_simulation_csv_refuses_a_trace_over_another_frame():
     traces[2] = replace(traces[2], frame=make_frame(["Cargo", "Fighter"]))
     with pytest.raises(FrameMismatchError,
                        match=r"^the trace of rule tcn\(bounded, max\) is not over the config's frame$"):
-        traces_to_csv(cfg, traces)
+        "".join(traces_csv_blocks(cfg, traces))
 
 
 @pytest.mark.parametrize("cut", [slice(7), slice(None, None, -1)], ids=["seven-scans", "reversed"])
@@ -654,7 +653,7 @@ def test_simulation_csv_refuses_a_trace_over_another_scenario(cut):
     traces[4] = replace(trace, truth=trace.truth[cut], masses=trace.masses[cut], correct_rate=trace.correct_rate[cut])
     with pytest.raises(FrameMismatchError,
                        match=r"^the trace of rule tcn\(min, sum\) is not over the config's scenario$"):
-        traces_to_csv(cfg, traces)
+        "".join(traces_csv_blocks(cfg, traces))
 
 
 def test_simulation_csv_blocks_are_the_header_then_one_block_per_trace():
@@ -663,8 +662,7 @@ def test_simulation_csv_blocks_are_the_header_then_one_block_per_trace():
     blocks = list(traces_csv_blocks(cfg, traces))
     assert [block.count("\n") for block in blocks] == [2] + [100] * 6
     assert all(block.endswith("\n") for block in blocks)
-    assert "".join(blocks) == traces_to_csv(cfg, traces) == seed_fileio.traces_to_csv(cfg, traces)
-    assert list(traces_csv_blocks(cfg, traces, _subset_columns(cfg.frame))) == blocks
+    assert "".join(blocks) == seed_fileio.traces_to_csv(cfg, traces)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -691,16 +689,16 @@ def test_simulation_csv_streams_one_trace_at_a_time(tmp_path):
     truth = cfg.scenario.expand()
     traces = [AveragedTrace(rule, frame, truth, np.full((20, 17), 1 / 17), np.full(20, 0.5))
               for rule in cfg.rules]
-    columns = _subset_columns(frame)
+    _subset_columns(frame)  # the writers' kept names, built before any peak is taken
     peaks = []
     for count in (1, 6):
         tracemalloc.start()
         try:
-            cli._write_blocks(str(tmp_path / "x.csv"), traces_csv_blocks(cfg, traces[:count], columns))
+            cli._write_blocks(str(tmp_path / "x.csv"), traces_csv_blocks(cfg, traces[:count]))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == traces_to_csv(cfg, traces)
+    assert (tmp_path / "x.csv").read_text(encoding="utf-8") == "".join(traces_csv_blocks(cfg, traces))
     assert peaks[1] < 1.25 * peaks[0]
 
 
@@ -717,7 +715,7 @@ def test_negative_zero_and_all_zero_traces_print_like_the_dense_writer():
         AveragedTrace(cfg.rules[0], FC_FRAME, truth, np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]]), np.zeros(2)),
         AveragedTrace(cfg.rules[1], FC_FRAME, truth, np.zeros((2, 3)), np.zeros(2)),
     ]
-    text = traces_to_csv(cfg, traces)
+    text = "".join(traces_csv_blocks(cfg, traces))
     assert text.splitlines()[2:] == [
         "dempster,,,1,Cargo,0,-0,1,0",
         "dempster,,,2,Cargo,0,0,1,0",
@@ -748,15 +746,15 @@ def _write(writer, frame):
                            confusion=uniform_diagonal_confusion(frame, 0.9),
                            rules=(RuleConfig(Rule.PCR5),), runs=1, master_seed=0)
     trace = AveragedTrace(cfg.rules[0], frame, cfg.scenario.expand(), np.zeros((2, frame.size + 1)), np.zeros(2))
-    if writer == "traces_to_csv":
-        return traces_to_csv(cfg, [trace])
+    if writer == "traces_csv_blocks":
+        return "".join(traces_csv_blocks(cfg, [trace]))
     if writer == "track_records_to_csv":
         posterior = MassFunction(frame, {frame.full_set: 1.0})
         return track_records_to_csv([TrackRecord(1, frame.labels[0], posterior, frame.labels[0])], frame)
     return trace_plot_data(trace)
 
 
-WRITERS = ["traces_to_csv", "track_records_to_csv", "trace_plot_data"]
+WRITERS = ["traces_csv_blocks", "track_records_to_csv", "trace_plot_data"]
 
 
 @pytest.mark.parametrize("writer", WRITERS)

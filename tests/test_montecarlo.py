@@ -52,7 +52,7 @@ from evidfuse import (
 )
 from evidfuse import core, engine, montecarlo
 from evidfuse.cli import main
-from evidfuse.fileio import traces_to_csv
+from evidfuse.fileio import traces_csv_blocks
 from evidfuse.montecarlo import DEFAULT_MASTER_SEED, DEFAULT_SEGMENTS
 
 from conftest import FC_FRAME
@@ -94,6 +94,10 @@ def test_scenario_switches():
         (86, "Cargo"),
     ]
     assert default_scenario().total_scans == 100
+    # consecutive segments of one type are one run, so they make one switch
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2), ("Fighter", 3), ("Cargo", 2)))
+    assert scenario.switches() == [(3, "Fighter"), (8, "Cargo")]
+    assert Scenario(FC_FRAME, (("Cargo", 1), ("Cargo", 2))).switches() == []
 
 
 def test_scenario_rejects_bad_segments():
@@ -589,6 +593,18 @@ def test_a_trace_names_a_truth_label_outside_its_frame():
             replace(trace, truth=trace.truth[:3] + (label,) * 97)
 
 
+def test_a_trace_over_a_frame_that_is_not_a_frame_cannot_be_built():
+    # a string frame raised a bare AttributeError ('str' object has no attribute 'size')
+    with pytest.raises(FrameError, match=r"^frame: expected a Frame, got 'x'$"):
+        AveragedTrace(RuleConfig(Rule.PCR5), "x", ("Cargo",) * 2, np.zeros((2, 3)), np.zeros(2))
+
+
+def test_a_trace_of_a_rule_that_is_not_a_rule_config_cannot_be_built():
+    # a string rule was built, and failed only in the CSV writer, with an AttributeError
+    with pytest.raises(ConfigError, match=r"^rule: expected a RuleConfig, got 'pcr5'$"):
+        AveragedTrace("pcr5", FC_FRAME, ("Cargo",) * 2, np.zeros((2, 3)), np.zeros(2))
+
+
 @pytest.mark.parametrize("width", [2, 4, 7])
 def test_a_trace_holds_one_column_per_singleton_and_the_full_set(width):
     with pytest.raises(FrameError, match=r"^masses and correct_rate must have shapes \(2, 3\) and \(2,\), "
@@ -712,7 +728,7 @@ def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
 
 def test_largest_frame_csv_has_a_column_per_subset():
     cfg = largest_frame_config()
-    header = traces_to_csv(cfg, run_monte_carlo(cfg)).split("\n")[1].split(",")
+    header = "".join(traces_csv_blocks(cfg, run_monte_carlo(cfg))).split("\n")[1].split(",")
     assert sum(name.startswith("m_") for name in header) == 65535
 
 
@@ -1087,6 +1103,12 @@ def test_readaptation_delay_is_limited_to_the_new_segment():
     delays = readaptation_delays(synthetic_trace(scenario, fighter, cargo), scenario)
     assert delays[0].new_type == "Fighter"
     assert delays[0].delay == math.inf
+    # Fighter 2 then Fighter 3 is one run: its switch, at scan 3, has the window 3-7
+    scenario = Scenario(FC_FRAME, (("Cargo", 2), ("Fighter", 2), ("Fighter", 3), ("Cargo", 2)))
+    fighter = [0.1, 0.1, 0.1, 0.2, 0.3, 0.4, 0.6, 0.9, 0.3]
+    cargo = [0.8, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.05, 0.6]
+    delays = readaptation_delays(synthetic_trace(scenario, fighter, cargo), scenario)
+    assert [(d.switch_scan, d.new_type, d.delay) for d in delays] == [(3, "Fighter", 5.0), (8, "Cargo", 2.0)]
 
 
 @pytest.mark.parametrize("segments", [(("Cargo", 10), ("Fighter", 10)), (("Cargo", 60), ("Fighter", 60))],
