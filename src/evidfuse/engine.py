@@ -37,16 +37,21 @@ declared singleton and the full set, a singleton or the full set meets either
 of them in a singleton, the full set or the empty set, and PCR5 and TCN send a
 conflict back only to the pair's own focal sets. So a scan is one closed-form
 update, a fixed sequence of numpy operations on planes. Observation masses are
-``(scans, runs)``, broadcast over the rules, and the declarations one one-hot
-``(scans, M, 1, runs)`` mask that selects the declared singleton. Rules differ
-only in their description, :attr:`~evidfuse.rules.RuleConfig.fusion`: the
-t-norm, the t-conorm (None: conflict is not redistributed) and the
-normalization floor, the triple :func:`~evidfuse.rules.combine` runs on. Each
-t-norm and t-conorm runs on one slice ``rules[a:b]`` per maximal run of
-consecutive rules that share it. Every rule is normalized: a rule with no
-floor divides by exactly 1.0, as a rule with no t-conorm divides by ``inf``.
-Each rule's means keep the partial's plane order in its
-:class:`~evidfuse.montecarlo.AveragedTrace`.
+``(scans, runs)``, broadcast over the rules. One add per scan, of the declared
+labels' plane offsets to every lane's place in a plane, gives each (rule, run)
+the flat index of its declared singleton ``s`` in an ``(M + 1, rules, runs)``
+stack: one ``take`` reads ``T(m_s, c)`` and ``T(m_s, 1 - c)``, one assignment
+each zeroes its ratio and writes its sum. Rules differ only in their
+description, :attr:`~evidfuse.rules.RuleConfig.fusion`: the t-norm, the
+t-conorm (None: conflict is not redistributed) and the normalization floor,
+the triple :func:`~evidfuse.rules.combine` runs on. A slab sorts its rule axis
+once, stably, by t-conorm (None, sum, max), then t-norm (product, min,
+bounded), so each t-conorm, and on the stock rules each t-norm, runs as one
+call on one slice (three t-norm and two t-conorm calls per scan), and puts the
+partial and the failure flags back in config order. A lane divides by its
+total only above its floor: a rule with no floor has floor ``+inf``, as a rule
+with no t-conorm divides by ``inf``. Each rule's means keep the partial's
+plane order in its :class:`~evidfuse.montecarlo.AveragedTrace`.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)
@@ -55,26 +60,27 @@ gives run by run. The scalar kernel sums the terms of each focal set with
 singleton ``i != s`` gets at most two terms, ``T(m_i, 1 - c)`` and, when
 conflict is redistributed, ``m_i * r_i``; there IEEE ``+`` already is the
 correctly rounded sum. The full set gets the single term ``T(m_full, 1 - c)``.
-The declared singleton gets 3 + (M - 1) terms, and the normalizer of Dempster
-and TCN sums M + 1 masses. Both are planes, of a term buffer allocated once
-per slab and of the posterior, so they already lie as the contiguous
-``(k, n)`` arrays that :func:`_exact_sum` reads. It splits every term, error
-free, at a power of two above the array's largest term, and returns each
+The declared singleton gets 3 + (M - 1) terms, and the normalizer sums M + 1
+masses. Both lie in place as the contiguous ``(k, n)`` arrays that
+:func:`_exact_sum` reads: the posterior, and the first half of the slab's
+``(2, M + 3, rules, runs)`` t-norm buffer, ``c * r_i`` (over ``T(m_i, c)``),
+``T(m_full, c)``, ``T(m_s, c)``, ``T(m_s, 1 - c)``. It splits every term,
+error free, at a power of two above the array's largest term, and returns each
 row's ``fsum`` bit for bit where an exact clause or a certificate decides it.
-Every other row takes one route, an ``fsum`` per row: the rows neither
-decides (about 6 % on the default config, 2 % on a 3-label one, none on a
-10-label one) and, as the split does not run there, every row of an array
-under :data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips
-(t-norm 0), or the declared singleton's own ratio, enters as an exact zero,
-which changes no sum.
+Every other row takes one route, an ``fsum`` per row: the rows neither decides
+(about 6 % on the default config, 2 % on a 3-label one, none on a 10-label
+one) and, as the split does not run there, every row of an array under
+:data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips (t-norm 0),
+or the declared singleton's own ratio, enters as an exact zero, which changes
+no sum (a t-conorm of 0, at ``m_i = c = 0``, is raised to 5e-324 first).
 ``argmax`` (first maximum) reproduces the lowest-index tie break of
 :func:`~evidfuse.core.decide` under both criteria.
 
 Degenerate tracks: the scan loop keeps only the arithmetic the next scan
 reads, with no per-lane flag or branch. A (rule, run) whose total falls to or
-below its floor divides by 1.0 instead and stays unnormalized. Its masses stay
+below its floor is not divided and stays unnormalized. Its masses stay
 finite: they are nonnegative, and every scan divides them only by a total
-above the floor or by 1.0, so they sum to about 1 or to at most the floor.
+above the floor, so they sum to about 1 or to at most the floor.
 After the loop, in one pass per block of the store, every stored posterior
 gets the output audit, the array form of the check the scalar
 :class:`~evidfuse.core.MassFunction` constructor makes (nonnegative, total
@@ -159,14 +165,14 @@ def run_floats(master_seed: int, start: int, stop: int, draws: int) -> np.ndarra
     return bits.astype(np.float64) * 2.0**-53
 
 
-def _bounded_product_array(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(0.0, x + y - 1.0, out=out)
+def _bounded_product_array(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(np.subtract(np.add(x, y, out=out), 1.0, out=out), 0.0, out=out)
 
 
 # Elementwise forms of :data:`~evidfuse.operators.TNORM_FUNCS` and
 # :data:`~evidfuse.operators.TCONORM_FUNCS`; each performs the same IEEE
 # operations as its scalar entry, so results match bit for bit on finite
-# inputs in [0, 1], and takes the ufunc ``out`` argument.
+# inputs in [0, 1], and writes to the ``out`` array it is given.
 TNORM_ARRAYS = {
     TNorm.MIN: np.minimum,
     TNorm.PRODUCT: np.multiply,
@@ -177,6 +183,9 @@ TCONORM_ARRAYS = {
     TConorm.MAX: np.maximum,
     TConorm.SUM: np.add,
 }
+
+#: Ranks for a stable sort of a slab's rules by t-conorm, then t-norm; stock rules then use one slice per kind.
+_RANK = dict(zip((None, TConorm.SUM, TConorm.MAX, TNorm.PRODUCT, TNorm.MIN, TNorm.BOUNDED), range(6)))
 
 
 def _slices(table: dict, kinds: tuple) -> list[tuple[object, slice]]:
@@ -289,47 +298,53 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     n_scans, n_runs, n_rules = len(truth), stop - start, len(cfg.rules)
 
     runs = _declarations(cfg, start, stop)
-    declared = runs.T[:, None, None] == np.arange(m)[:, None, None]  # (scans, M, 1, runs): one-hot s
     c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[runs.T]  # (scans, runs)
     obs = np.stack((c, 1.0 - c), axis=1)[:, :, None, None]  # (scans, 2, 1, 1, runs): mass on s, on the full set
 
-    tnorms, tconorms, floors = zip(*(rule_cfg.fusion for rule_cfg in cfg.rules))
-    tnorm_slices = _slices(TNORM_ARRAYS, tnorms)
-    tconorm_slices = _slices(TCONORM_ARRAYS, tconorms)
-    # a rule with no floor divides by exactly 1.0: its floor is +inf
-    floors = np.array([np.inf if floor is None else floor for floor in floors])[:, None]
+    # the rule axis in rank order, undone on the outputs
+    order = sorted(range(n_rules), key=lambda j: [_RANK[kind] for kind in cfg.rules[j].fusion[1::-1]])
+    tnorms, tconorms, floors = zip(*(cfg.rules[j].fusion for j in order))
+    # a rule with no floor is never divided: its floor is +inf
+    floors = np.array([np.inf if floor is None else floor for floor in floors]).repeat(n_runs).reshape(n_rules, -1)
 
     truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
-    t = np.empty((2, m + 1, n_rules, n_runs))  # focal pairs with s (t[0]) and the full set (t[1])
+    # buf[0] is the declared singleton's M + 3 terms: c * ratio (written over
+    # T(m_i, c) once the ratio is taken), T(m_full, c), T(m_s, c), T(m_s, 1 - c)
+    buf = np.empty((2, m + 3, n_rules, n_runs))
+    t = buf[:, :m + 1]  # focal pairs with s (t[0]) and the full set (t[1])
+    flat_t = t.reshape(2, -1)  # a view: each half of t is contiguous
+    term_rows = buf[0].reshape(m + 3, -1).T  # (lanes, M + 3)
     # a rule with no t-conorm keeps its conflict: dividing by inf leaves its ratio 0
     den = np.full((m, n_rules, n_runs), np.inf)
-    declared_t = np.empty((2, m, n_rules, n_runs))  # t[:, :m] on the declared singleton, +0.0 elsewhere
-    terms = np.empty((m + 3, n_rules, n_runs))  # the declared singleton's terms
+    ratio = np.empty((m, n_rules, n_runs))
+    flat_ratio = ratio.reshape(-1)
+    share = np.zeros((m + 1, n_rules, n_runs))  # prior * ratio, and +0.0 on the full set
     masses = np.empty((n_scans, m + 1, n_rules, n_runs))  # every posterior at every scan
-    prior = np.broadcast_to(np.eye(m + 1)[m][:, None, None], (m + 1, n_rules, n_runs))  # vacuous
-    for k in range(n_scans):
-        for tnorm, rules in tnorm_slices:
-            tnorm(prior[:, rules], obs[k], out=t[:, :, rules])
-        for tconorm, rules in tconorm_slices:
-            tconorm(prior[:m, rules], c[k], out=den[:, rules])
-        ratio = np.zeros((m, n_rules, n_runs))
-        np.divide(t[0, :m], den, out=ratio, where=~declared[k] & (t[0, :m] != 0.0))
-        post = masses[k]
-        post[...] = t[1]
-        post[:m] += prior[:m] * ratio
-        np.multiply(c[k], ratio, out=terms[:m])
-        terms[m] = t[0, m]
-        # T(m_s, c) and T(m_s, 1 - c): the mask zeroes all but one term per lane, exact as every t is finite, >= +0.0
-        np.multiply(t[:, :m], declared[k], out=declared_t)
-        declared_t.sum(axis=1, out=terms[m + 1:])
-        np.copyto(post[:m], _exact_sum(terms.reshape(m + 3, -1).T).reshape(n_rules, n_runs), where=declared[k])
-        totals = _exact_sum(post.reshape(m + 1, -1).T).reshape(n_rules, n_runs)
-        # A lane at or below its floor stays unnormalized, and the output audit
-        # below fails it: every floor is under 1 - SUM_TOLERANCE. It stays
-        # finite: it divides only by a total above its floor or by 1.0, so its
-        # nonnegative masses sum to about 1 or to at most its floor.
-        post /= np.where(totals > floors, totals, 1.0)
-        prior = post
+    rows = masses.reshape(n_scans, m + 1, -1).transpose(0, 2, 1)  # a scan's (lanes, M + 1) view
+    prior = np.broadcast_to(np.eye(m + 1)[m][:, None, None], (m + 1, n_rules, n_runs)).copy()  # vacuous
+    offsets = runs.T * (n_rules * n_runs)  # (scans, runs): where the declared singleton's plane starts
+    lanes = np.arange(n_rules * n_runs).reshape(n_rules, n_runs)
+    declared = np.empty_like(lanes)  # each lane's declared singleton, a flat index into an (M + 1, rules, runs) stack
+    tnorm_calls = [(op, prior[:, rules], t[:, :, rules]) for op, rules in _slices(TNORM_ARRAYS, tnorms)]
+    tconorm_calls = [(op, prior[:m, rules], den[:, rules]) for op, rules in _slices(TCONORM_ARRAYS, tconorms)]
+    for obs_k, c_k, offset, post, post_rows in zip(obs, c, offsets, masses, rows):
+        for op, x, out in tnorm_calls:
+            op(x, obs_k, out=out)
+        for op, x, out in tconorm_calls:
+            op(x, c_k, out=out)
+        np.add(offset, lanes, out=declared)
+        flat_t.take(declared, axis=1, out=buf[0, m + 1:], mode="clip")  # T(m_s, c), T(m_s, 1 - c); in range
+        np.maximum(den, 5e-324, out=den)  # den is 0 only where t[0, i] is: that ratio is +0.0, not NaN
+        np.divide(t[0, :m], den, out=ratio)
+        flat_ratio[declared] = 0.0  # the declared singleton's own pair is no conflict
+        np.multiply(prior[:m], ratio, out=share[:m])
+        np.add(t[1], share, out=post)
+        np.multiply(c_k, ratio, out=buf[0, :m])
+        post.reshape(-1)[declared] = _exact_sum(term_rows).reshape(n_rules, n_runs)
+        totals = _exact_sum(post_rows).reshape(n_rules, n_runs)
+        # a lane at or below its floor stays unnormalized, for the output audit to fail
+        np.divide(post, totals, out=post, where=totals > floors)
+        prior[...] = post
 
     failed = np.empty((n_rules, n_runs), dtype=bool)
     partial = np.zeros((-(-n_runs // CHUNK_RUNS), n_scans, m + 2, n_rules))
@@ -346,8 +361,8 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
             run_sums += block[..., r]
         sums[:, :m + 1] = run_sums
     if failed.any():
-        _replay_first_failure(cfg, runs, start, failed)
-    return partial
+        _replay_first_failure(cfg, runs, start, failed[np.argsort(order)])
+    return partial[..., np.argsort(order)]
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:

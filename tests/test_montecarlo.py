@@ -6,6 +6,7 @@ import multiprocessing
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from evidfuse.core import replace
 from fractions import Fraction
@@ -501,7 +502,8 @@ def ten_label_pignistic_config():
     (small_config(runs=70), None),
     (first_failure_in_the_second_slab_config(), "run 38, rule tcn(bounded, max): scan 2: "),
     (ten_label_pignistic_config(), None),
-], ids=["output", "first-failure", "ten-labels"])
+    (small_config(runs=70, rules=default_rules()[::-1]), None),  # partials cross the pool in rank order
+], ids=["output", "first-failure", "ten-labels", "reversed-rules"])
 def test_real_pool_over_slabs_matches_one_worker(monkeypatch, cfg, error):
     monkeypatch.setattr(engine, "_SLAB_BYTES", 1)  # three one-block slabs, two workers
     assert engine._slab_runs(cfg) == montecarlo.CHUNK_RUNS
@@ -707,11 +709,32 @@ def slice_edge_config(rules):
     )
 
 
+def vanishing_config(rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX))):
+    """The bounded t-norm vanishes at run 0, scan 2."""
+    frame = default_frame()
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("Cargo", 3),)),
+        confusion=uniform_diagonal_confusion(frame, 0.5),
+        rules=tuple(rules),
+        runs=3,
+        master_seed=9,
+    )
+
+
 #: ALL_RULES with the four product t-norm rules between the others: no two
 #: neighbours share a t-norm, so every t-norm slice holds one rule.
 PRODUCT_RULES = [rule for rule in ALL_RULES if rule.fusion[0] is TNorm.PRODUCT]
 OTHER_RULES = [rule for rule in ALL_RULES if rule.fusion[0] is not TNorm.PRODUCT]
 ALTERNATING_TNORMS = [rule for pair in zip(PRODUCT_RULES, OTHER_RULES) for rule in pair]
+
+#: ALL_RULES in the reverse of the order the engine gives a slab's rule axis.
+REVERSED_RANKS = sorted(ALL_RULES, key=lambda rule: [engine._RANK[kind] for kind in rule.fusion[1::-1]],
+                        reverse=True)
+
+#: Two bounded t-norm rules, which both vanish at run 0, scan 2 of
+#: vanishing_config, in either config order; the engine's rank order puts
+#: tcn(bounded, sum) first.
+BOUNDED_MAX, BOUNDED_SUM = (RuleConfig(Rule.TCN, TNorm.BOUNDED, tconorm) for tconorm in (TConorm.MAX, TConorm.SUM))
 
 
 @settings(max_examples=60, deadline=None)
@@ -722,6 +745,9 @@ ALTERNATING_TNORMS = [rule for pair in zip(PRODUCT_RULES, OTHER_RULES) for rule 
 @example(cfg=slice_edge_config([RuleConfig(Rule.PCR5)]))  # no normalized rule
 @example(cfg=slice_edge_config(ALTERNATING_TNORMS))
 @example(cfg=slice_edge_config(sorted(ALL_RULES, key=lambda rule: rule.fusion[0].value)))  # a slice per kind
+@example(cfg=slice_edge_config(REVERSED_RANKS))
+@example(cfg=vanishing_config((BOUNDED_MAX, RuleConfig(Rule.PCR5), BOUNDED_SUM)))
+@example(cfg=vanishing_config((BOUNDED_SUM, RuleConfig(Rule.PCR5), BOUNDED_MAX)))
 def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
     assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
 
@@ -772,6 +798,40 @@ def test_engine_memory_does_not_grow_with_the_runs(monkeypatch, workers):
             tracemalloc.stop()
         assert peaks[-1] < 1.25e6, runs
     assert peaks[1] < peaks[0] + 0.1e6, peaks
+
+
+def test_a_scan_makes_one_call_per_operator_kind_and_two_sums(monkeypatch):
+    # the default rules in the engine's rank order are dempster, pcr5,
+    # tcn(product, sum), tcn(min, sum), tcn(min, max), tcn(bounded, max): per
+    # scan one t-norm call on each of three slices (product, min, bounded),
+    # one t-conorm call on each of two (sum, max), and two exact sums
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name, table in (("tnorm", engine.TNORM_ARRAYS), ("tconorm", engine.TCONORM_ARRAYS)):
+        for kind, fn in list(table.items()):
+            monkeypatch.setitem(table, kind, counted(name, fn))
+    monkeypatch.setattr(engine, "_exact_sum", counted("exact_sum", engine._exact_sum))
+    engine._run_block(default_config(runs=8), 0, 8)
+    assert calls == {"tnorm": 300, "tconorm": 200, "exact_sum": 200}
+
+
+def test_slab_memory_stays_near_its_posterior_store():
+    # a 576-run default slab stores 100 x 3 x 6 x 576 doubles, 7.9 MiB, and
+    # peaked at 11.1-11.5 MiB; a (scans, rules, runs) index array would add 2.6 MiB
+    store = 8 * 100 * 3 * 6 * 576
+    tracemalloc.start()
+    try:
+        engine._run_block(default_config(runs=576), 0, 576)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * store
 
 
 def test_engine_sums_as_arrays_match_the_scalar_loop_and_the_pin(monkeypatch, tmp_path):
@@ -935,17 +995,6 @@ def test_first_failure_in_a_later_block_is_reported_like_the_scalar_loop(workers
     expected = outcome(seed_montecarlo.run_monte_carlo, cfg)
     assert expected[1].startswith("run 38, rule tcn(bounded, max): scan 2: ")
     assert outcome(run_monte_carlo, cfg, workers=workers) == expected
-
-
-def vanishing_config():
-    frame = default_frame()
-    return MonteCarloConfig(
-        scenario=Scenario(frame, (("Cargo", 3),)),
-        confusion=uniform_diagonal_confusion(frame, 0.5),
-        rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BOUNDED, TConorm.MAX)),
-        runs=3,
-        master_seed=9,
-    )
 
 
 def test_vanishing_tcn_consensus_names_run_rule_and_scan():
