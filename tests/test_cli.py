@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +24,10 @@ from evidfuse import (
 )
 from evidfuse import cli, engine, fileio
 from evidfuse.cli import main
-from evidfuse.fileio import load_simulation_config, track_records_to_csv
+from evidfuse.fileio import load_mass_function, load_simulation_config, track_records_to_csv
 
 from conftest import FC_FRAME
+from test_pinned_outputs import PAIRINGS
 
 
 @pytest.fixture
@@ -99,6 +101,46 @@ def test_fuse_report_json(workdir, capsys):
     assert report["total_conflict"] == pytest.approx(0.81, abs=1e-12)
     assert report["redistributed"]["Fighter"] == pytest.approx(0.405, abs=1e-12)
     assert report["redistributed"]["Cargo"] == pytest.approx(0.405, abs=1e-12)
+
+
+def dense_six_label_json(seed):
+    """A mass on each of the 63 subsets of 6 labels, one subset holding most of it."""
+    labels = ["L%d" % i for i in range(6)]
+    rng = random.Random(seed)
+    weights = [rng.random() + 1 / 1024 for _ in range(63)]
+    weights[rng.randrange(63)] += 2 * sum(weights)
+    total = sum(weights)
+    return {"frame": labels, "masses": {"|".join(label for i, label in enumerate(labels) if bits >> i & 1): x / total
+                                        for bits, x in enumerate(weights, 1)}}
+
+
+@pytest.mark.parametrize("rule", PAIRINGS, ids=lambda rule: "-".join(rule.split()[::2]))
+def test_fuse_report_prints_the_same_bytes_with_the_files_swapped(tmp_path, capsys, rule):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(dense_six_label_json(1)), encoding="utf-8")
+    b.write_text(json.dumps(dense_six_label_json(2)), encoding="utf-8")
+    outputs = []
+    for first, second in ((a, b), (b, a)):
+        assert main(["fuse", str(first), str(second), "--report", "--rule", *rule.split()]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_fuse_of_a_dense_sixteen_label_bba_with_the_vacuous_one_reloads_as_the_input(tmp_path, capsys):
+    # every subset of the largest frame, each label list written high label first
+    m = 16
+    labels = ["L%d" % i for i in range(m)]
+    weights = [1 + bits * 40503 % 97 for bits in range(1, 1 << m)]
+    weights[-1] += (1 << 23) - sum(weights)
+    dense, vacuous, fused = tmp_path / "dense.json", tmp_path / "vacuous.json", tmp_path / "fused.json"
+    dense.write_text(json.dumps({"frame": labels, "masses": {
+        "|".join(labels[i] for i in reversed(range(m)) if bits >> i & 1): x / (1 << 23)
+        for bits, x in enumerate(weights, 1)}}), encoding="utf-8")
+    vacuous.write_text(json.dumps({"frame": labels, "masses": {"|".join(labels): 1.0}}), encoding="utf-8")
+    assert main(["fuse", str(dense), str(vacuous), "--rule", "pcr5", "--format", "json"]) == 0
+    fused.write_text(capsys.readouterr().out, encoding="utf-8")
+    expected = load_mass_function(str(dense)).masses
+    assert len(expected) == 65535 and load_mass_function(str(fused)).masses == expected
 
 
 def test_fuse_report_csv(workdir, capsys):
@@ -277,6 +319,7 @@ def test_track_unknown_label_exits_2(workdir, tmp_path, capsys):
                  "--rule", "pcr5", "-o", str(tmp_path / "t.csv")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_track_empty_declarations_exits_2(workdir, tmp_path, capsys):
@@ -397,15 +440,27 @@ def test_simulate_single_run_matches_track(workdir, tmp_path):
         assert fields[8] == ("1" if record.decision == fields[4] else "0")
 
 
-def test_simulate_plot_data(workdir, tmp_path):
+@pytest.mark.parametrize("fields, names, dat_lines, csv_cells", [
+    ({}, ["dempster.dat", "pcr5.dat", "tcn_min_max.dat"], 1 + 7, 5 + 3 + 1),
+    # the largest frame: the CSV's 65 535 subset columns and the plot data's
+    # 16 singleton columns read one build of the column names
+    ({"frame": ["L%d" % i for i in range(16)], "segments": [["L0", 5], ["L15", 5]], "runs": 64, "master_seed": 1,
+      "confusion": [[0.9 if i == j else 0.1 / 15 for j in range(16)] for i in range(16)], "rules": [{"rule": "pcr5"}]},
+     ["pcr5.dat"], 1 + 10, 5 + 65535 + 1),
+], ids=["two-labels", "sixteen-labels"])
+def test_simulate_plot_data(workdir, tmp_path, fields, names, dat_lines, csv_cells):
+    data = {**json.loads((workdir / "sim.json").read_text(encoding="utf-8")), **fields}
+    config = workdir / "plotted.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
     plotdir = tmp_path / "plots"
     out = tmp_path / "res.csv"
-    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1",
+    assert main(["simulate", str(config), "--threads", "1",
                  "--plot-data", str(plotdir), "-o", str(out)]) == 0
-    names = sorted(p.name for p in plotdir.iterdir())
-    assert names == ["dempster.dat", "pcr5.dat", "tcn_min_max.dat"]
-    header = (plotdir / "pcr5.dat").read_text(encoding="utf-8").splitlines()[0]
-    assert header == "# scan m_Fighter m_Cargo"
+    assert sorted(p.name for p in plotdir.iterdir()) == names
+    lines = (plotdir / "pcr5.dat").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# scan " + " ".join("m_" + label for label in data["frame"])
+    assert len(lines) == dat_lines
+    assert len(out.read_text(encoding="utf-8").splitlines()[1].split(",")) == csv_cells
 
 
 def test_simulate_plot_data_on_a_file_exits_2_and_writes_no_csv(workdir, tmp_path, capsys):

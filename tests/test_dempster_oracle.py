@@ -49,8 +49,9 @@ SE_FLOOR = 1e-12
 
 
 def three_label_config():
-    """The 3-label config whose CSV CI pins: a 0.7-diagonal classifier over
-    segments L0 30, L2 30, L1 40, the default rules, 832 runs."""
+    """The 3-label config of ``test_pinned_outputs.three_label_json``, whose CSV
+    is pinned: a 0.7-diagonal classifier over segments L0 30, L2 30, L1 40, the
+    default rules, 832 runs."""
     frame = make_frame(["L0", "L1", "L2"])
     default = load_simulation_config(str(CONFIG_DIR / "default.json"))
     return MonteCarloConfig(scenario=Scenario(frame, (("L0", 30), ("L2", 30), ("L1", 40))),
