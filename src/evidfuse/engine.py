@@ -67,14 +67,15 @@ masses. Both lie in place as the contiguous ``(k, n)`` arrays that
 ``T(m_full, c)``, ``T(m_s, c)``, ``T(m_s, 1 - c)``. It splits every term,
 error free, at a power of two above the array's largest term, and returns each
 row's ``fsum`` bit for bit where an exact clause or a certificate decides it.
-Every other row takes one route, an ``fsum`` per row: the rows neither decides
-(about 6 % on the default config, 2 % on a 3-label one, none on a 10-label
-one) and, as the split does not run there, every row of an array under
+Every other row takes one route, :func:`_fsum_rows`, an ``fsum`` per row: the
+rows neither decides (about 6 % on the default config, 2 % on a 3-label one,
+none on a 10-label one) and, with no split, every row of an array under
 :data:`_EXACT_SUM_MIN_ROWS` rows. A pair the scalar kernel skips (t-norm 0),
 or the declared singleton's own ratio, enters as an exact zero, which changes
-no sum (a t-conorm of 0, at ``m_i = c = 0``, is raised to 5e-324 first).
-``argmax`` (first maximum) reproduces the lowest-index tie break of
-:func:`~evidfuse.core.decide` under both criteria.
+no sum (the t-conorms read ``max(c, 5e-324)``, so no ratio is 0 / 0). A lane
+decides right iff its truth label's score is above every earlier label's and
+at least every later one's: ``argmax``'s first maximum, the lowest-index tie
+break of :func:`~evidfuse.core.decide` under both criteria.
 
 Degenerate tracks: the scan loop keeps only the arithmetic the next scan
 reads, with no per-lane flag or branch. A (rule, run) whose total falls to or
@@ -249,35 +250,46 @@ def _exact_sum(rows: np.ndarray) -> np.ndarray:
     result is +0.0, as from ``fsum``: q is +0.0 when x + sigma rounds to
     sigma, an exact cancellation gives +0.0, so neither Q nor res is -0.0.
 
-    One route: every row starts undecided, the clauses narrow them only on an
-    array of at least :data:`_EXACT_SUM_MIN_ROWS` rows (tested first) with no
-    term of magnitude :data:`_EXACT_SUM_MAX_TERM` or more, and ``fsum`` sums the rest."""
-    res, uncertain = np.empty(len(rows)), ...  # every row undecided
-    if len(rows) >= _EXACT_SUM_MIN_ROWS and (top := np.abs(rows).max()) < _EXACT_SUM_MAX_TERM:
-        terms = np.ascontiguousarray(rows.T)  # (k, n): no copy, as the engine's rows are transposed planes
-        b, e = len(terms).bit_length(), frexp(top)[1]
-        sigma = ldexp(1.0, e + b)
-        q = terms + sigma
-        q -= sigma
-        res, r = _two_sum(q.sum(axis=0), (terms - q).sum(axis=0))
-        gap = np.abs(res)
-        gap -= (gap.view(np.int64) - 1).view(np.float64)  # nextafter(gap, 0): the bit pattern one lower
-        uncertain = np.flatnonzero(~(2.0 * (np.abs(r) + ldexp(1.0, e + 3 * b - 106)) < gap))
-        size = np.abs(terms[:, uncertain])  # the exact clause, on the rows the certificate leaves
-        uncertain = uncertain[((size < ldexp(1.0, e + 2 * b - 54)) & (size != 0.0)).any(axis=0)]
-    res[uncertain] = list(map(fsum, rows[uncertain].tolist()))
+    One route: the clauses decide rows only on an array of at least
+    :data:`_EXACT_SUM_MIN_ROWS` rows (tested first) with no term of magnitude
+    :data:`_EXACT_SUM_MAX_TERM` or more, and :func:`_fsum_rows` sums every
+    row they leave: all rows of any other array, the undecided ones of this."""
+    if len(rows) < _EXACT_SUM_MIN_ROWS or not (top := np.abs(rows).max()) < _EXACT_SUM_MAX_TERM:
+        return _fsum_rows(rows)
+    terms = np.ascontiguousarray(rows.T)  # (k, n): no copy, as the engine's rows are transposed planes
+    b, e = len(terms).bit_length(), frexp(top)[1]
+    sigma = ldexp(1.0, e + b)
+    q = terms + sigma
+    q -= sigma
+    res, r = _two_sum(q.sum(axis=0), (terms - q).sum(axis=0))
+    gap = np.abs(res)
+    gap -= (gap.view(np.int64) - 1).view(np.float64)  # nextafter(gap, 0): the bit pattern one lower
+    uncertain = np.flatnonzero(~(2.0 * (np.abs(r) + ldexp(1.0, e + 3 * b - 106)) < gap))
+    size = np.abs(terms[:, uncertain])  # the exact clause, on the rows the certificate leaves
+    uncertain = uncertain[((size < ldexp(1.0, e + 2 * b - 54)) & (size != 0.0)).any(axis=0)]
+    res[uncertain] = _fsum_rows(rows[uncertain])
     return res
 
 
-def _declarations(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, one call per row: the floor
+    of a few dozen rows, where numpy's fixed cost per call would dominate."""
+    return np.fromiter(map(fsum, rows.tolist()), float, len(rows))
+
+
+def _declarations(cfg: MonteCarloConfig, truth: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Label index ``[r, k]`` that :func:`sample_decision` declares at scan
-    ``k + 1`` of run ``start + r``: the first label whose running row sum (the
-    same sequential adds) exceeds the draw, which is the number of sums at or
-    below it as they never decrease, or the last label when every sum is."""
-    truth = [cfg.frame.index(t) for t in cfg.scenario.expand()]
-    cumulative = np.array([list(accumulate(row)) for row in cfg.confusion.rows])[truth]
+    ``k + 1`` of run ``start + r``, whose true label is ``truth[k]`` (an
+    index): the first label whose running row sum (the same sequential adds)
+    exceeds the draw, or the last label when none of the first M - 1 does. As
+    the sums never decrease, that is the number of the first M - 1 sums at or
+    below the draw, counted one label's plane of sums at a time."""
+    sums = np.array([list(accumulate(row)) for row in cfg.confusion.rows]).T  # [j, i]: row i's sum through label j
     u = run_floats(cfg.master_seed, start, stop, len(truth))
-    return np.minimum((cumulative <= u[..., None]).sum(axis=2), cfg.frame.size - 1)
+    runs = np.zeros(u.shape, dtype=np.intp)
+    for plane in sums[:-1, truth]:
+        runs += plane <= u
+    return runs
 
 
 def _slab_runs(cfg: MonteCarloConfig) -> int:
@@ -294,20 +306,23 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     ``M + 1`` its correct-decision counts. ``start`` is a block boundary."""
     frame = cfg.frame
     m = frame.size
-    truth = cfg.scenario.expand()
+    truth = np.array([frame.index(label) for label in cfg.scenario.expand()])
     n_scans, n_runs, n_rules = len(truth), stop - start, len(cfg.rules)
 
-    runs = _declarations(cfg, start, stop)
+    runs = _declarations(cfg, truth, start, stop)
     c = np.array([cfg.confusion.diagonal(label) for label in frame.labels])[runs.T]  # (scans, runs)
     obs = np.stack((c, 1.0 - c), axis=1)[:, :, None, None]  # (scans, 2, 1, 1, runs): mass on s, on the full set
+    # the t-conorms read max(c, 5e-324), so no den is 0 and no ratio 0 / 0:
+    # where c > 0 that is c itself, and where c = 0 every T(m_i, 0) is a zero,
+    # which any den > 0 keeps, so the pair still enters no sum
+    c_den = np.maximum(c, 5e-324)
 
     # the rule axis in rank order, undone on the outputs
     order = sorted(range(n_rules), key=lambda j: [_RANK[kind] for kind in cfg.rules[j].fusion[1::-1]])
     tnorms, tconorms, floors = zip(*(cfg.rules[j].fusion for j in order))
     # a rule with no floor is never divided: its floor is +inf
-    floors = np.array([np.inf if floor is None else floor for floor in floors]).repeat(n_runs).reshape(n_rules, -1)
+    floors = np.array([np.inf if floor is None else floor for floor in floors]).repeat(n_runs)  # (lanes,)
 
-    truth_index = np.array([frame.index(label) for label in truth])[:, None, None]
     # buf[0] is the declared singleton's M + 3 terms: c * ratio (written over
     # T(m_i, c) once the ratio is taken), T(m_full, c), T(m_s, c), T(m_s, 1 - c)
     buf = np.empty((2, m + 3, n_rules, n_runs))
@@ -320,30 +335,33 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     flat_ratio = ratio.reshape(-1)
     share = np.zeros((m + 1, n_rules, n_runs))  # prior * ratio, and +0.0 on the full set
     masses = np.empty((n_scans, m + 1, n_rules, n_runs))  # every posterior at every scan
-    rows = masses.reshape(n_scans, m + 1, -1).transpose(0, 2, 1)  # a scan's (lanes, M + 1) view
+    planes = masses.reshape(n_scans, m + 1, -1)  # a scan's (M + 1, lanes) view
+    rows = planes.transpose(0, 2, 1)  # a scan's (lanes, M + 1) view
+    flat = masses.reshape(n_scans, -1)
     prior = np.broadcast_to(np.eye(m + 1)[m][:, None, None], (m + 1, n_rules, n_runs)).copy()  # vacuous
     offsets = runs.T * (n_rules * n_runs)  # (scans, runs): where the declared singleton's plane starts
     lanes = np.arange(n_rules * n_runs).reshape(n_rules, n_runs)
     declared = np.empty_like(lanes)  # each lane's declared singleton, a flat index into an (M + 1, rules, runs) stack
+    flat_declared = declared.reshape(-1)
     tnorm_calls = [(op, prior[:, rules], t[:, :, rules]) for op, rules in _slices(TNORM_ARRAYS, tnorms)]
     tconorm_calls = [(op, prior[:m, rules], den[:, rules]) for op, rules in _slices(TCONORM_ARRAYS, tconorms)]
-    for obs_k, c_k, offset, post, post_rows in zip(obs, c, offsets, masses, rows):
+    for obs_k, c_k, c_den_k, offset, post, post_planes, post_flat, post_rows in zip(
+            obs, c, c_den, offsets, masses, planes, flat, rows):
         for op, x, out in tnorm_calls:
             op(x, obs_k, out=out)
         for op, x, out in tconorm_calls:
-            op(x, c_k, out=out)
+            op(x, c_den_k, out=out)
         np.add(offset, lanes, out=declared)
         flat_t.take(declared, axis=1, out=buf[0, m + 1:], mode="clip")  # T(m_s, c), T(m_s, 1 - c); in range
-        np.maximum(den, 5e-324, out=den)  # den is 0 only where t[0, i] is: that ratio is +0.0, not NaN
         np.divide(t[0, :m], den, out=ratio)
         flat_ratio[declared] = 0.0  # the declared singleton's own pair is no conflict
         np.multiply(prior[:m], ratio, out=share[:m])
         np.add(t[1], share, out=post)
         np.multiply(c_k, ratio, out=buf[0, :m])
-        post.reshape(-1)[declared] = _exact_sum(term_rows).reshape(n_rules, n_runs)
-        totals = _exact_sum(post_rows).reshape(n_rules, n_runs)
+        post_flat[flat_declared] = _exact_sum(term_rows)
+        totals = _exact_sum(post_rows)
         # a lane at or below its floor stays unnormalized, for the output audit to fail
-        np.divide(post, totals, out=post, where=totals > floors)
+        np.divide(post_planes, totals, out=post_planes, where=totals > floors)
         prior[...] = post
 
     failed = np.empty((n_rules, n_runs), dtype=bool)
@@ -355,7 +373,7 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
         scores = block[:, :m]
         if cfg.criterion is DecisionCriterion.MAX_PIGNISTIC:
             scores = scores + block[:, m:] / m
-        (scores.argmax(axis=1) == truth_index).sum(axis=2, dtype=float, out=sums[:, m + 1])
+        _decided_right(scores, truth).sum(axis=2, dtype=float, out=sums[:, m + 1])
         run_sums = np.zeros((n_scans, m + 1, n_rules))  # contiguous: one inner loop per add, not one per scan
         for r in range(block.shape[3]):  # run order, as the scalar loop
             run_sums += block[..., r]
@@ -363,6 +381,18 @@ def _run_block(cfg: MonteCarloConfig, start: int, stop: int) -> np.ndarray:
     if failed.any():
         _replay_first_failure(cfg, runs, start, failed[np.argsort(order)])
     return partial[..., np.argsort(order)]
+
+
+def _decided_right(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """``scores.argmax(axis=1) == truth[:, None, None]`` for ``(scans, M,
+    rules, runs)`` scores with no NaN, as plane operations that copy no
+    strided block: the truth label's score is above every earlier label's and
+    at least every later one's."""
+    own = scores[np.arange(len(truth)), truth]
+    label = np.arange(scores.shape[1])[:, None, None]
+    earlier, later = (np.maximum.reduce(scores, axis=1, where=op(label, truth[:, None, None, None]), initial=-np.inf)
+                      for op in (np.less, np.greater))
+    return (own > earlier) & (own >= later)
 
 
 def _replay_first_failure(cfg: MonteCarloConfig, runs: np.ndarray, start: int, failed: np.ndarray) -> None:

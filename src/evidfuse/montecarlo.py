@@ -129,7 +129,7 @@ class AveragedTrace(Value):
     ``masses`` is ``(scans, M + 1)``, a row per scan of ``truth``: column ``i < M`` is
     the singleton of label ``i``, column ``M`` the full set; no other subset is reached.
     ``mean_masses`` builds the dense means on each read, column ``bits - 1`` per subset.
-    Every label of ``truth`` is in ``frame``.
+    ``truth`` is kept as a tuple, and every label of it is in ``frame``.
     """
 
     rule: RuleConfig
@@ -145,15 +145,24 @@ class AveragedTrace(Value):
             raise ConfigError("rule: expected a RuleConfig, got %r" % (self.rule,))
         if not isinstance(self.frame, Frame):
             raise FrameError("frame: expected a Frame, got %r" % (self.frame,))
-        want = (len(self.truth), self.frame.size + 1), (len(self.truth),)
+        if isinstance(self.truth, str) or not isinstance(self.truth, Iterable):
+            raise FrameError("truth: expected a sequence of labels, got %r" % (self.truth,))
+        truth = tuple(self.truth)
+        object.__setattr__(self, "truth", truth)
+        want = (len(truth), self.frame.size + 1), (len(truth),)
         if (np.shape(self.masses), np.shape(self.correct_rate)) != want:
             raise FrameError("masses and correct_rate must have shapes %s and %s, got %s and %s"
                              % (*want, np.shape(self.masses), np.shape(self.correct_rate)))
-        for k, label in enumerate(self.truth):
-            try:
-                self.frame.index(label)
-            except FrameError as exc:
-                raise FrameError("truth[%d]: %s" % (k, exc)) from None
+        try:
+            known = self.frame._positions.keys() >= set(truth)
+        except TypeError:  # an unhashable label
+            known = False
+        if not known:  # name the first unknown label
+            for k, label in enumerate(truth):
+                try:
+                    self.frame.index(label)
+                except FrameError as exc:
+                    raise FrameError("truth[%d]: %s" % (k, exc)) from None
 
     @property
     def mean_masses(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from evidfuse.core import replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -220,9 +221,14 @@ def scalar_declarations(cfg, start, stop):
     return runs
 
 
+def block_declarations(cfg, start, stop):
+    truth = np.array([cfg.frame.index(label) for label in cfg.scenario.expand()])
+    return engine._declarations(cfg, truth, start, stop)
+
+
 @st.composite
 def sampling_configs(draw):
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 5) | st.just(MAX_FRAME_SIZE))
     frame = make_frame(["L%d" % i for i in range(m)])
     if draw(st.booleans()):
         confusion = identity_confusion(frame)
@@ -245,10 +251,22 @@ def sampling_configs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(cfg=sampling_configs(), start=st.integers(0, 64) | st.integers(2**64 - 64, 2**64 - 33),
-       runs=st.integers(1, 32))
-def test_block_declarations_match_sample_decision(cfg, start, runs):
-    drawn = engine._declarations(cfg, start, start + runs)
-    assert drawn.tolist() == scalar_declarations(cfg, start, start + runs)
+       runs=st.integers(1, 32), on_sums=st.none() | st.randoms(use_true_random=False))
+def test_block_declarations_match_sample_decision(cfg, start, runs, on_sums):
+    if on_sums is None:
+        drawn = block_declarations(cfg, start, start + runs)
+        assert drawn.tolist() == scalar_declarations(cfg, start, start + runs)
+        return
+    # every draw equal to 0 or to a running sum of its scan's row below 1,
+    # where sample_decision's `<` and the engine's `<=` pick the next label
+    truth = cfg.scenario.expand()
+    u = np.array([[on_sums.choice([0.0] + [x for x in accumulate(cfg.confusion.row(label)) if x < 1.0])
+                   for label in truth] for _ in range(runs)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "run_floats", lambda *args: u)
+        drawn = block_declarations(cfg, start, start + runs)
+    assert drawn.tolist() == [[cfg.frame.index(sample_decision(label, cfg.confusion, FixedDraws([x])))
+                               for label, x in zip(truth, row)] for row in u.tolist()]
 
 
 class FixedDraws:
@@ -280,7 +298,7 @@ def test_block_declarations_fall_through_to_the_last_label(monkeypatch):
     draws = [0.0, 0.5, 1.0 - 2**-53, 2**-53] + sums
     u = np.array([[d, d] for d in draws])
     monkeypatch.setattr(engine, "run_floats", lambda *args: u)
-    drawn = engine._declarations(cfg, 0, len(draws))
+    drawn = block_declarations(cfg, 0, len(draws))
     expected = [[frame.index(sample_decision(t, cfg.confusion, FixedDraws(row))) for t in ("L0", "L1")]
                 for row in u.tolist()]
     assert drawn.tolist() == expected
@@ -595,6 +613,24 @@ def test_a_trace_names_a_truth_label_outside_its_frame():
             replace(trace, truth=trace.truth[:3] + (label,) * 97)
 
 
+def test_a_trace_keeps_its_truth_as_a_tuple():
+    # a list truth holding the scenario's labels was refused by the CSV writer
+    # and by readaptation_delays, and compared unequal to the same trace
+    cfg = default_config(runs=8)
+    traces = run_monte_carlo(cfg)
+    listed = [replace(trace, truth=list(trace.truth)) for trace in traces]
+    assert listed == traces and all(type(trace.truth) is tuple for trace in listed)
+    assert "".join(traces_csv_blocks(cfg, listed)) == "".join(traces_csv_blocks(cfg, traces))
+    assert readaptation_delays(listed[0], cfg.scenario) == readaptation_delays(traces[0], cfg.scenario)
+
+
+@pytest.mark.parametrize("truth", [5, None, "Cargo"])
+def test_a_trace_whose_truth_is_no_sequence_of_labels_cannot_be_built(truth):
+    # 5 raised a bare TypeError; a string would be read as one label per character
+    with pytest.raises(FrameError, match=r"^truth: expected a sequence of labels, got %s$" % re.escape(repr(truth))):
+        AveragedTrace(RuleConfig(Rule.PCR5), FC_FRAME, truth, np.zeros((5, 3)), np.zeros(5))
+
+
 def test_a_trace_over_a_frame_that_is_not_a_frame_cannot_be_built():
     # a string frame raised a bare AttributeError ('str' object has no attribute 'size')
     with pytest.raises(FrameError, match=r"^frame: expected a Frame, got 'x'$"):
@@ -721,6 +757,35 @@ def vanishing_config(rules=(RuleConfig(Rule.PCR5), RuleConfig(Rule.TCN, TNorm.BO
     )
 
 
+def tie_config(m, criterion):
+    """A 0.5 diagonal, which no bounded t-norm survives: about one lane in
+    ten decides between tied scores."""
+    frame = make_frame(["L%d" % i for i in range(m)])
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("L0", 3), ("L%d" % (m - 1), 4), ("L0", 3))),
+        confusion=uniform_diagonal_confusion(frame, 0.5),
+        rules=tuple(rule for rule in ALL_RULES if rule.fusion[0] is not TNorm.BOUNDED),
+        runs=40,
+        master_seed=5,
+        criterion=criterion,
+    )
+
+
+def tiny_diagonal_config():
+    """Diagonals of 5e-324, 1e-310 and 1e-305: a ratio's den there is a t-conorm
+    of the observation mass c, so any floor raised onto c above them shows."""
+    frame = make_frame(["L0", "L1", "L2"])
+    return MonteCarloConfig(
+        scenario=Scenario(frame, (("L0", 3), ("L2", 3))),
+        confusion=ConfusionMatrix(frame, ((5e-324, 0.5, 0.5), (0.5, 1e-310, 0.5), (0.25, 0.75, 1e-305))),
+        # every rule with a t-conorm, whose ratios read c, but the bounded
+        # t-norm ones, which vanish here
+        rules=tuple(rule for rule in ALL_RULES if rule.fusion[1] is not None and rule.fusion[0] is not TNorm.BOUNDED),
+        runs=40,
+        master_seed=3,
+    )
+
+
 #: ALL_RULES with the four product t-norm rules between the others: no two
 #: neighbours share a t-norm, so every t-norm slice holds one rule.
 PRODUCT_RULES = [rule for rule in ALL_RULES if rule.fusion[0] is TNorm.PRODUCT]
@@ -748,8 +813,45 @@ BOUNDED_MAX, BOUNDED_SUM = (RuleConfig(Rule.TCN, TNorm.BOUNDED, tconorm) for tco
 @example(cfg=slice_edge_config(REVERSED_RANKS))
 @example(cfg=vanishing_config((BOUNDED_MAX, RuleConfig(Rule.PCR5), BOUNDED_SUM)))
 @example(cfg=vanishing_config((BOUNDED_SUM, RuleConfig(Rule.PCR5), BOUNDED_MAX)))
+@example(cfg=tie_config(2, DecisionCriterion.MAX_BELIEF))
+@example(cfg=tie_config(2, DecisionCriterion.MAX_PIGNISTIC))
+@example(cfg=tie_config(3, DecisionCriterion.MAX_BELIEF))
+@example(cfg=tie_config(3, DecisionCriterion.MAX_PIGNISTIC))
+@example(cfg=tiny_diagonal_config())
 def test_batch_engine_matches_scalar_loop_bit_for_bit(cfg):
     assert outcome(run_monte_carlo, cfg) == outcome(seed_montecarlo.run_monte_carlo, cfg)
+
+
+@st.composite
+def decision_stores(draw):
+    """A ``(scans, M + 1, rules, runs)`` store from few values, so exact ties
+    and -0.0 against +0.0 are common, and truth labels that are first, in the
+    middle and last."""
+    m = draw(st.sampled_from([2, 3, 10]))
+    shape = (draw(st.integers(1, 4)), m + 1, draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0 / 3]) | st.floats(0.0, 1.0)
+    store = np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    truth = draw(st.lists(st.sampled_from([0, m // 2, m - 1]) | st.integers(0, m - 1),
+                          min_size=shape[0], max_size=shape[0]))
+    return store, np.array(truth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_truth=decision_stores(), criterion=st.sampled_from(DecisionCriterion), strided=st.booleans())
+@example(store_truth=(np.array([0.0, -0.0, 1.0, -0.0, 0.0, 1.0]).reshape(2, 3, 1, 1), np.array([1, 1])),
+         criterion=DecisionCriterion.MAX_BELIEF, strided=False)  # a signed zero is no maximum of its own
+@example(store_truth=(np.array([0.5, 0.5, 0.0, 0.5, 0.5, 0.0]).reshape(2, 3, 1, 1), np.array([1, 0])),
+         criterion=DecisionCriterion.MAX_PIGNISTIC, strided=False)  # the first of two tied maxima
+def test_plane_decisions_are_argmax_first_maximum(store_truth, criterion, strided):
+    store, truth = store_truth
+    if strided:  # as the engine's block, a slice of a wider run axis
+        store = np.concatenate([store, store], axis=3)[..., 1:]
+    m = store.shape[1] - 1
+    scores = store[:, :m]
+    if criterion is DecisionCriterion.MAX_PIGNISTIC:
+        scores = scores + store[:, m:] / m
+    expected = scores.argmax(axis=1) == truth[:, None, None]
+    assert engine._decided_right(scores, truth).tolist() == expected.tolist()
 
 
 def test_largest_frame_csv_has_a_column_per_subset():
@@ -912,7 +1014,11 @@ def fsum_outcome(sums, rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=sum_rows(), n=st.sampled_from([1, -1, 0, 1000]))
+@given(rows=sum_rows(), n=st.sampled_from([1, 48, -1, 0, 1000]))
+@example(rows=[(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, -0.0), (0.4, 0.5, 0.1), (1.0, 5e-324, 0.0)],
+         n=48)  # the stock normalizer, 48 lanes of M + 1 = 3 masses
+@example(rows=[(0.0,) * 5, (-0.0,) * 5, (-0.0, 0.0, -0.0, 0.0, -0.0), (0.045, 0.0, 0.05, 0.45, 0.45),
+               (0.05, 0.05, 0.0, 0.9, 2.0**-60)], n=48)  # the stock declared singleton, 48 lanes of M + 3 terms
 @example(rows=[TIE, (1.0, 2.0**-54, 2.0**-54), (1.0, 2.0**-54, -(2.0**-54), 2.0**-53)], n=0)
 @example(rows=[(1.0, 2.0**-53, 2.0**-100), (0.741945015713378, 0.2580549842866221, 1e-32)], n=0)  # near ties
 @example(rows=[(-0.0, -0.0, -0.0), (0.0, -0.0), (1.0, -1.0, 0.0), (5e-324, 5e-324, -5e-324)], n=0)
@@ -938,11 +1044,14 @@ def fsum_outcome(sums, rows):
          n=0)  # the widest engine sum
 @example(rows=[WORST_LOW_PART_ERROR], n=0)
 def test_exact_sum_is_fsum_of_each_row(rows, n):
-    # n rows cycled from the drawn ones: 1, just under the width cut, at it, and far above
-    n = {1: 1, -1: engine._EXACT_SUM_MIN_ROWS - 1, 0: engine._EXACT_SUM_MIN_ROWS}.get(n, n)
+    # n rows cycled from the drawn ones: 1, the stock lane count, just under
+    # the width cut, at it, and far above; as given, and as the engine's
+    # transposed planes
+    n = {-1: engine._EXACT_SUM_MIN_ROWS - 1, 0: engine._EXACT_SUM_MIN_ROWS}.get(n, n)
     rows = [rows[i % len(rows)] for i in range(n)]
     expected = fsum_outcome(lambda a: [math.fsum(row) for row in a.tolist()], rows)
     assert fsum_outcome(engine._exact_sum, rows) == expected
+    assert fsum_outcome(lambda a: engine._exact_sum(np.ascontiguousarray(a.T).T), rows) == expected
 
 
 def test_exact_sum_certifies_ties_when_the_error_sum_is_exact(monkeypatch):
