@@ -18,7 +18,6 @@ produce byte-identical outputs regardless of worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -32,14 +31,13 @@ from .errors import (
     VanishingConsensusError,
 )
 from .fileio import (
-    _csv_cells,
     _subset_columns,
-    format_mass,
+    fusion_csv,
+    fusion_json,
     load_confusion,
     load_declarations,
     load_mass_function,
     load_simulation_config,
-    mass_function_to_json,
     rule_config_from_json,
     rule_file_tag,
     trace_plot_data,
@@ -71,14 +69,23 @@ def _add_rule_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The flag that sets each field that an error about a flag's value may name
+#: (``--seed`` is an int, so ``master_seed`` never fails).
+_FLAGS = {"rule": "--rule", "tnorm": "--tnorm", "tconorm": "--tconorm", "runs": "--runs", "workers": "--threads"}
+
+
+def _in_flags(exc: ConfigError) -> ConfigError:
+    """``exc`` about values the flags set, with each field spelled as its flag."""
+    return ConfigError(re.sub(r"\b(%s)\b" % "|".join(_FLAGS), lambda match: _FLAGS[match[1]], str(exc)))
+
+
 def _rule_from_args(args: argparse.Namespace) -> RuleConfig:
     """The rule the flags set, read as the config file's rule object is."""
     flags = {key: getattr(args, key) for key in RuleConfig._fields if getattr(args, key) is not None}
     try:
         return rule_config_from_json(flags, "")
     except ConfigError as exc:
-        # spell the fields RuleConfig names as the flags that set them
-        raise ConfigError(re.sub(r"\b(rule|tnorm|tconorm)\b", r"--\1", str(exc))) from None
+        raise _in_flags(exc) from None
 
 
 def _write_blocks(path: str, blocks: Iterable[str]) -> None:
@@ -113,28 +120,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     m2 = load_mass_function(args.second)
     fused = combine(cfg, m1, m2)
     report = _fusion_report(cfg, m1, m2, fused) if args.report else None
-
-    if args.format == "json":
-        payload = mass_function_to_json(fused)
-        if report:
-            payload["report"] = report
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0
-
-    lines = []
-    if report:
-        lines.append("# rule: %s" % report["rule"])
-        lines.append("# total_conflict: %s" % format_mass(report["total_conflict"]))
-        for subset, delta in report["redistributed"].items():
-            lines.append("# redistributed %s: %s" % (subset, format_mass(delta)))
-    lines.append("subset,mass")
-    for bits in sorted(fused.masses):
-        line = _csv_cells([fused.frame.format_subset(bits), format_mass(fused.masses[bits])])
-        if line.startswith("#"):  # quote the subset, or a reader that skips "#" comments drops the row
-            line = '"%s",%s' % tuple(line.split(","))
-        lines.append(line)
-    sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write((fusion_json if args.format == "json" else fusion_csv)(fused, report))
     return 0
 
 
@@ -162,14 +148,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    flags = {"runs": "--runs", "workers": "--threads"}  # the fields that flags set; --seed is an int
     try:
         if overrides:  # one rebuild, validated once
             cfg = replace(cfg, **overrides)
         _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
         traces = run_monte_carlo(cfg, workers=workers)
-    except ConfigError as exc:  # spell each field as the flag that sets it
-        raise ConfigError(re.sub(r"\b(%s)\b" % "|".join(flags), lambda match: flags[match[1]], str(exc))) from None
+    except ConfigError as exc:
+        raise _in_flags(exc) from None
     if args.plot_data is not None:  # before the CSV, so a failure leaves no file
         os.makedirs(args.plot_data, exist_ok=True)
     _write_blocks(args.output, traces_csv_blocks(cfg, traces))

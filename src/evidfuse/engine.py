@@ -51,7 +51,8 @@ call on one slice (three t-norm and two t-conorm calls per scan), and puts the
 partial and the failure flags back in config order. A lane divides by its
 total only above its floor: a rule with no floor has floor ``+inf``, as a rule
 with no t-conorm divides by ``inf``. Each rule's means keep the partial's
-plane order in its :class:`~evidfuse.montecarlo.AveragedTrace`.
+plane order in its :class:`~evidfuse.montecarlo.AveragedTrace`, whose
+:attr:`~evidfuse.montecarlo.AveragedTrace.subsets` names the planes in order.
 
 Bitwise contract: the output equals, bit for bit, what the scalar tracker
 (:func:`~evidfuse.tracker.run_track` through :func:`~evidfuse.rules.combine`)

@@ -13,30 +13,36 @@ input file has one loader, ``load_*``, which reads it through one JSON reader
 that requires an object. Loaders check only the JSON containers (a field is
 present, an object, a list or a string); every rule about a value belongs to
 the type that holds it, and its error is passed on through one re-wrap that
-leads with the field path. Rule, operator and criterion names in a file
-ignore case and surrounding spaces. The CLI's rule flags are read by the same
-rule reader, but argparse takes only the exact lowercase names that ``--help``
-lists (``--rule PCR5`` is rejected before the reader runs).
-Input files are UTF-8, with or without a leading byte-order mark, and no JSON
-object may repeat a key. A rule config has one spelling,
-:func:`rule_config_to_json`, its fields that are set; config files, the CSV's
-rule cells and the plot-data file tags all write it.
+leads with the field path. One wrapper then leads every error of a loader
+with the path of its file. A simulation config and its rule objects may hold
+only the fields above; every field of the other files is required. Rule,
+operator and criterion names in a file ignore case and surrounding spaces.
+The CLI's rule flags are read by the same rule reader, but argparse takes
+only the exact lowercase names that ``--help`` lists (``--rule PCR5`` is
+rejected before the reader runs). Input files are UTF-8, with or without a
+leading byte-order mark, and no JSON object may repeat a key. A rule config
+has one spelling, :func:`rule_config_to_json`, its fields that are set;
+config files, the CSV's rule cells and the plot-data file tags all write it.
 
-CSV outputs quote with the stdlib csv module, print masses with 12
-significant digits, and sanitize frame labels in column names
-(non-alphanumerics become underscores); the mapping from sanitized column
-names back to subsets is echoed in a leading "#" comment line. A frame in
-which two subsets get the same column name (["A", "B", "A_B"] names both A|B
-and A_B "m_A_B") cannot be written and raises a FrameError. Writers format
-only the columns a track reaches (-0.0 prints as -0) and join the zeros
-between them once: the bytes of formatting every cell, at a cost that grows
-with the reached columns, not with the 2^M - 1 subsets. The simulation CSV
-streams: :func:`traces_csv_blocks`, its one writer, checks every trace on the
-call and then formats one block of lines per trace, which the CLI writes as it
-comes, so a writer holds one trace's lines, not the whole file. A frame's
-column names are built once: the writers share the names of the last frame
-they were built for, so one ``simulate`` builds them once for its CSV and its
-plot data. The fuse CSV quotes a subset cell that starts with "#", so a reader
+Every output file is written here, and the CLI writes the text it gets back.
+``fuse`` prints :func:`fusion_json`, the mass-function format with an
+optional ``report`` object, or :func:`fusion_csv`. CSV outputs quote with the
+stdlib csv module, print masses with 12 significant digits, and sanitize
+frame labels in column names (non-alphanumerics become underscores); the
+mapping from sanitized column names back to subsets is echoed in a leading
+"#" comment line. A frame in which two subsets get the same column name
+(["A", "B", "A_B"] names both A|B and A_B "m_A_B") cannot be written and
+raises a FrameError. Writers format only the columns a track reaches (-0.0
+prints as -0), for a simulation the subsets of
+:attr:`~evidfuse.montecarlo.AveragedTrace.subsets`, and join the zeros between
+them once: the bytes of formatting every cell, at a cost that grows with the
+reached columns, not with the 2^M - 1 subsets. The simulation CSV streams:
+:func:`traces_csv_blocks`, its one writer, checks every trace on the call and
+then formats one block of lines per trace, which the CLI writes as it comes,
+so a writer holds one trace's lines, not the whole file. A frame's column
+names are built once: the writers share the names of the last frame they
+were built for, so one ``simulate`` builds them once for its CSV and its plot
+data. The fuse CSV quotes a subset cell that starts with "#", so a reader
 that skips "#" comment lines keeps its row.
 """
 
@@ -101,11 +107,35 @@ def _checked(path: str, build, *args, **kwargs):
         raise ConfigError("%s: %s" % (path, exc) if path else str(exc)) from exc
 
 
+def _only(data: dict, fields: Sequence[str], path: str = "") -> None:
+    """Refuse the first key of ``data`` that is not one of ``fields``."""
+    for key in data:
+        if key not in fields:
+            raise ConfigError("%s: unknown field (choose from %s)" % (_join(path, key), ", ".join(fields)))
+
+
+def _naming_the_file(load):
+    """``load`` with every ConfigError it raises led by its first argument,
+    the path of the file it reads."""
+    @functools.wraps(load)
+    def named(path: str, *args):
+        try:
+            return load(path, *args)
+        except ConfigError as exc:
+            raise ConfigError("%s: %s" % (path, exc)) from exc
+    return named
+
+
+#: The fields of a simulation config file, in the order its writer puts them.
+_CONFIG_FIELDS = ("frame", "confusion", "segments", "runs", "master_seed", "rules", "criterion")
+
+
 def frame_from_json(data: dict) -> Frame:
     """The ``frame`` field of an input object; Frame's messages name it."""
     return _checked("", make_frame, _require(data, "frame", list))
 
 
+@_naming_the_file
 def load_mass_function(path: str) -> MassFunction:
     data = _load_json(path, "mass function")
     return _checked("", make_bba, frame_from_json(data), _require(data, "masses", dict))
@@ -125,6 +155,7 @@ def confusion_rows_from_json(frame: Frame, data: list, path: str) -> ConfusionMa
     return _checked(path, ConfusionMatrix, frame, tuple(data))
 
 
+@_naming_the_file
 def load_confusion(path: str) -> ConfusionMatrix:
     data = _load_json(path, "confusion file")
     return confusion_rows_from_json(frame_from_json(data), _require(data, "matrix", list), "matrix")
@@ -133,6 +164,7 @@ def load_confusion(path: str) -> ConfusionMatrix:
 def rule_config_from_json(data: object, path: str) -> RuleConfig:
     if not isinstance(data, dict):
         raise ConfigError("%s: expected an object like {\"rule\": \"pcr5\"}" % path)
+    _only(data, RuleConfig._fields, path)
     rule = _spelling(data, "rule", Rule, path)
     operators = {key: _spelling(data, key, kind, path)
                  for key, kind in (("tnorm", TNorm), ("tconorm", TConorm)) if key in data}
@@ -146,8 +178,10 @@ def rule_config_to_json(cfg: RuleConfig) -> dict:
     return {key: value.value for key, value in fields if value is not None}
 
 
+@_naming_the_file
 def load_simulation_config(path: str) -> MonteCarloConfig:
     data = _load_json(path, "config file")
+    _only(data, _CONFIG_FIELDS)
     frame = frame_from_json(data)
     confusion = confusion_rows_from_json(frame, _require(data, "confusion", list), "confusion")
     scenario = _checked("", Scenario, frame, tuple(_require(data, "segments", list)))
@@ -177,6 +211,7 @@ def simulation_config_to_json(cfg: MonteCarloConfig) -> dict:
     }
 
 
+@_naming_the_file
 def load_declarations(path: str, frame: Frame) -> list[str]:
     """One declared label per line: the line itself when it is a label (labels
     may start or end with spaces), else the line stripped; blank lines are
@@ -188,10 +223,10 @@ def load_declarations(path: str, frame: Frame) -> list[str]:
         if not label:
             continue
         if label not in labels:
-            raise ConfigError("%s, line %d: %s" % (path, number, frame._unknown(label)))
+            raise ConfigError("line %d: %s" % (number, frame._unknown(label)))
         declarations.append(label)
     if not declarations:
-        raise ConfigError("%s: no declarations found" % path)
+        raise ConfigError("no declarations found")
     return declarations
 
 
@@ -202,7 +237,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
-        raise ConfigError("%s: not valid UTF-8 (%s)" % (path, exc)) from exc
+        raise ConfigError("not valid UTF-8 (%s)" % exc) from exc
 
 
 def _load_json(path: str, kind: str) -> dict:
@@ -213,16 +248,16 @@ def _load_json(path: str, kind: str) -> dict:
         data = {}
         for key, value in pairs:
             if key in data:
-                raise ConfigError("%s: duplicate key %r" % (path, key))
+                raise ConfigError("duplicate key %r" % key)
             data[key] = value
         return data
 
     try:
         data = json.loads(_read_text(path), object_pairs_hook=unique)
-    except ConfigError:  # a duplicate key or bad UTF-8, already named
+    except ConfigError:  # a duplicate key or bad UTF-8, a ValueError but no parse failure
         raise
     except (ValueError, RecursionError) as exc:  # also too deep or too long a number
-        raise ConfigError("%s: invalid JSON (%s)" % (path, exc)) from exc
+        raise ConfigError("invalid JSON (%s)" % exc) from exc
     if not isinstance(data, dict):
         raise ConfigError("%s: expected a JSON object" % kind)
     return data
@@ -279,6 +314,29 @@ def _mass_lines(heads: Sequence[str], rows: list[list[float]], live: list[int], 
     return [template % (head, *row) for head, row in zip(heads, rows)]
 
 
+def fusion_json(fused: MassFunction, report: dict | None) -> str:
+    """``fuse``'s JSON output: the mass function, which :func:`load_mass_function`
+    reads back, with the report, if any, under ``report``."""
+    payload = mass_function_to_json(fused)
+    return json.dumps(dict(payload, report=report) if report else payload, indent=2) + "\n"
+
+
+def fusion_csv(fused: MassFunction, report: dict | None) -> str:
+    """``fuse``'s CSV output: the report, if any, as "#" lines, then one
+    ``subset,mass`` row per focal set in canonical order."""
+    lines = []
+    if report:
+        lines += ["# rule: %s" % report["rule"], "# total_conflict: %s" % format_mass(report["total_conflict"])]
+        lines += ["# redistributed %s: %s" % (s, format_mass(d)) for s, d in report["redistributed"].items()]
+    lines.append("subset,mass")
+    for bits in sorted(fused.masses):
+        subset = _csv_cells([fused.frame.format_subset(bits)])
+        if subset.startswith("#"):  # quoted, or a reader that skips "#" comments drops the row
+            subset = '"%s"' % subset
+        lines.append("%s,%s" % (subset, format_mass(fused.masses[bits])))
+    return "\n".join(lines) + "\n"
+
+
 def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
     """Trace CSV: scan, declared, decision, then one mass column per subset."""
     names, comment = _subset_columns(frame)
@@ -304,8 +362,6 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) ->
         if trace.truth != truth:
             raise FrameMismatchError("the trace of rule %s is not over the config's scenario" % trace.rule.describe())
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
-    # the columns of a trace's masses (its singletons, then its full set) and correct_rate
-    live = [(1 << i) - 1 for i in range(cfg.frame.size)] + [cfg.frame.full_set - 1, cfg.frame.full_set]
     header = _csv_cells([*RuleConfig._fields, "scan", "true_type", *names, "correct_rate"])
 
     def block(trace: AveragedTrace) -> str:
@@ -313,6 +369,7 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) ->
         labels = _csv_cells([spelling.get(key, "") for key in RuleConfig._fields])
         heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(truth, 1)]
         rows = [row + [rate] for row, rate in zip(trace.masses.tolist(), trace.correct_rate.tolist())]
+        live = [bits - 1 for bits in trace.subsets] + [cfg.frame.full_set]  # then correct_rate
         return "\n".join(_mass_lines(heads, rows, live, cfg.frame.full_set + 1)) + "\n"
 
     return chain(["%s\n%s\n" % (comment, header)], map(block, traces))
@@ -325,10 +382,9 @@ def rule_file_tag(cfg: RuleConfig) -> str:
 
 def trace_plot_data(trace: AveragedTrace) -> str:
     """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
-    m = trace.frame.size
     names, _ = _subset_columns(trace.frame)
-    lines = ["# scan " + " ".join(names[(1 << i) - 1] for i in range(m))]
-    template = " ".join(["%d"] + [_MASS_FIELD] * m)
-    # columns i < M of a trace's masses are the singletons, in label order
-    lines += [template % (k, *row[:m]) for k, row in enumerate(trace.masses.tolist(), 1)]
+    singletons = trace.subsets[:-1]
+    lines = ["# scan " + " ".join(names[bits - 1] for bits in singletons)]
+    template = " ".join(["%d"] + [_MASS_FIELD] * len(singletons))
+    lines += [template % (k, *row[:-1]) for k, row in enumerate(trace.masses.tolist(), 1)]
     return "\n".join(lines) + "\n"

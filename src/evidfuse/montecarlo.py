@@ -126,10 +126,10 @@ class MonteCarloConfig(Value):
 class AveragedTrace(Value):
     """Per-scan masses and decision hit rate of one rule, averaged over runs.
 
-    ``masses`` is ``(scans, M + 1)``, a row per scan of ``truth``: column ``i < M`` is
-    the singleton of label ``i``, column ``M`` the full set; no other subset is reached.
-    ``mean_masses`` builds the dense means on each read, column ``bits - 1`` per subset.
-    ``truth`` is kept as a tuple, and every label of it is in ``frame``.
+    ``masses`` is ``(scans, M + 1)``, a row per scan of ``truth``, a column per subset
+    of :attr:`subsets`; no other subset is reached. ``mean_masses`` builds the dense
+    means on each read, column ``bits - 1`` per subset. ``truth`` is kept as a tuple,
+    and every label of it is in ``frame``.
     """
 
     rule: RuleConfig
@@ -165,11 +165,17 @@ class AveragedTrace(Value):
                     raise FrameError("truth[%d]: %s" % (k, exc)) from None
 
     @property
+    def subsets(self) -> list[int]:
+        """The subset of each column of ``masses``, as bitmasks: each label's
+        singleton in frame order, then the full set."""
+        return [1 << i for i in range(self.frame.size)] + [self.frame.full_set]
+
+    @property
     def mean_masses(self) -> np.ndarray:
         import numpy as np
 
         dense = np.zeros((len(self.truth), self.frame.full_set))
-        dense[:, [(1 << i) - 1 for i in range(self.frame.size)] + [self.frame.full_set - 1]] = self.masses
+        dense[:, [bits - 1 for bits in self.subsets]] = self.masses
         return dense
 
     def mass(self, scan: int, key: object) -> float:
@@ -179,8 +185,8 @@ class AveragedTrace(Value):
         bits = _coerce_subset(self.frame, key)
         if bits == 0:
             raise FrameError("the empty set carries no mass")
-        reached = [1 << i for i in range(self.frame.size)] + [self.frame.full_set]
-        return float(self.masses[scan - 1, reached.index(bits)]) if bits in reached else 0.0
+        subsets = self.subsets
+        return float(self.masses[scan - 1, subsets.index(bits)]) if bits in subsets else 0.0
 
     def singleton_series(self, label: str) -> np.ndarray:
         """Mean mass of one singleton across all scans."""

@@ -624,6 +624,8 @@ def test_simulate_rejects_bad_runs_override(workdir, tmp_path, capsys):
     ("simulate", [], "config file: expected a JSON object"),
     ("simulate", {"rules": ["pcr5"]}, 'rules[0]: expected an object like {"rule": "pcr5"}'),
     ("simulate", {"confusion": "x"}, "confusion: expected list, got 'x'"),
+    ("simulate", {"critrion": "pignistic"}, "critrion: unknown field (choose from frame, confusion, segments, "
+                                            "runs, master_seed, rules, criterion)"),
 ])
 def test_input_of_the_wrong_shape_exits_2(workdir, tmp_path, capsys, command, data, message):
     bad = workdir / "bad.json"
@@ -637,7 +639,48 @@ def test_input_of_the_wrong_shape_exits_2(workdir, tmp_path, capsys, command, da
         "simulate": ["simulate", str(bad), "-o", out],
     }[command]
     assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+
+
+@pytest.mark.parametrize("at_fault", [0, 1], ids=["first", "second"])
+def test_fuse_names_the_file_at_fault_in_either_place(workdir, capsys, at_fault):
+    bad = workdir / "bad.json"
+    bad.write_text("[]", encoding="utf-8")
+    files = [path(workdir, "m1.json")] * 2
+    files[at_fault] = str(bad)
+    assert main(["fuse", *files, "--rule", "pcr5"]) == 2
+    assert capsys.readouterr().err == "error: %s: mass function: expected a JSON object\n" % bad
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("cm.json", json.dumps({"frame": ["Fighter", "Cargo"], "matrix": [[0.9, 0.1], 0.9]}),
+     "matrix[1]: expected a list of numbers"),
+    ("decls.txt", "Fighter\nBomber\n", "line 2: unknown label 'Bomber' (frame is ['Fighter', 'Cargo'])"),
+    ("decls.txt", "\n", "no declarations found"),
+    ("decls.txt", b"\xff", "not valid UTF-8 ("),
+], ids=["confusion", "declaration", "no-declaration", "not-utf-8"])
+def test_track_names_the_file_at_fault_once(workdir, tmp_path, capsys, name, text, message):
+    (workdir / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert main(["track", path(workdir, "decls.txt"), "--confusion", path(workdir, "cm.json"),
+                 "--rule", "pcr5", "-o", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: %s" % (path(workdir, name), message))
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["fuse", "--rule", "tcn"], "--rule tcn needs both --tnorm and --tconorm"),
+    (["fuse", "--rule", "pcr5", "--tnorm", "min"], "--tnorm/--tconorm are only meaningful with --rule tcn"),
+    (["track", "--rule", "dempster", "--tconorm", "sum"], "--tnorm/--tconorm are only meaningful with --rule tcn"),
+    (["simulate", "--threads", "0"], "--threads must be a positive integer, got 0"),
+], ids=["tcn", "pcr5-tnorm", "track-dempster-tconorm", "threads"])
+def test_an_error_in_a_flag_value_names_the_flag(workdir, tmp_path, capsys, flags, message):
+    command, *flags = flags
+    out = str(tmp_path / "x.csv")
+    inputs = {"fuse": [path(workdir, "m1.json"), path(workdir, "m2.json")],
+              "track": [path(workdir, "decls.txt"), "--confusion", path(workdir, "cm.json"), "-o", out],
+              "simulate": [path(workdir, "sim.json"), "-o", out]}[command]
+    assert main([command, *inputs, *flags]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------

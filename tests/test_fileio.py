@@ -128,11 +128,13 @@ def test_load_mass_function_errors(tmp_path):
 @pytest.mark.parametrize("value", [True, "1.0", None])
 def test_loaders_pass_on_the_types_number_check(tmp_path, value):
     # JSON true or "1.0" is not a mass or a probability; the message is the type's own
-    with pytest.raises(ConfigError, match=r"^masses: mass .* on F is not a number"):
-        load_mass_function(write_json(tmp_path, "m.json", {"frame": ["F", "C"], "masses": {"F": value}}))
-    matrix = {"frame": ["F", "C"], "matrix": [[value, 0.0], [0.0, 1.0]]}
-    with pytest.raises(ConfigError, match=r"^matrix: confusion matrix row 0 has entry .*, not a number"):
-        load_confusion(write_json(tmp_path, "c.json", matrix))
+    path = write_json(tmp_path, "m.json", {"frame": ["F", "C"], "masses": {"F": value}})
+    with pytest.raises(ConfigError, match=r"^%s: masses: mass .* on F is not a number" % re.escape(path)):
+        load_mass_function(path)
+    path = write_json(tmp_path, "c.json", {"frame": ["F", "C"], "matrix": [[value, 0.0], [0.0, 1.0]]})
+    with pytest.raises(ConfigError, match=r"^%s: matrix: confusion matrix row 0 has entry .*, not a number"
+                       % re.escape(path)):
+        load_confusion(path)
 
 
 def test_load_mass_function_rejects_invalid_json(tmp_path):
@@ -191,9 +193,10 @@ def test_load_confusion(tmp_path):
 
 
 def test_load_confusion_errors(tmp_path):
-    bad_row = {"frame": ["F", "C"], "matrix": [[0.9, 0.1], [0.9, "x"]]}
-    with pytest.raises(ConfigError, match=r"^matrix: confusion matrix row 1 has entry 'x', not a number"):
-        load_confusion(write_json(tmp_path, "a.json", bad_row))
+    path = write_json(tmp_path, "a.json", {"frame": ["F", "C"], "matrix": [[0.9, 0.1], [0.9, "x"]]})
+    with pytest.raises(ConfigError, match=r"^%s: matrix: confusion matrix row 1 has entry 'x', not a number"
+                       % re.escape(path)):
+        load_confusion(path)
     not_a_row = {"frame": ["F", "C"], "matrix": [[0.9, 0.1], 0.9]}
     with pytest.raises(ConfigError, match=r"matrix\[1\]: expected a list of numbers"):
         load_confusion(write_json(tmp_path, "c.json", not_a_row))
@@ -298,6 +301,24 @@ def test_load_simulation_config_field_paths(tmp_path, mutate, message):
         load_simulation_config(write_json(tmp_path, "sim.json", data))
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(critrion="pignistic"),
+     "critrion: unknown field (choose from frame, confusion, segments, runs, master_seed, rules, criterion)"),
+    (lambda d: d["rules"][0].update(tnorm="min", tnrom="min"),
+     "rules[0].tnrom: unknown field (choose from rule, tnorm, tconorm)"),
+    (lambda d: d["rules"][1].update(tnrom=d["rules"][1].pop("tnorm")),
+     "rules[1].tnrom: unknown field (choose from rule, tnorm, tconorm)"),
+], ids=["top-level", "before-the-rule-check", "in-place-of-a-required-operator"])
+def test_load_simulation_config_refuses_an_unknown_field(tmp_path, mutate, message):
+    # a misspelled optional field is named before any check of the fields it stands beside
+    data = json.loads(json.dumps(VALID_CONFIG))
+    mutate(data)
+    path = write_json(tmp_path, "sim.json", data)
+    with pytest.raises(ConfigError) as raised:
+        load_simulation_config(path)
+    assert str(raised.value) == "%s: %s" % (path, message)
+
+
 @pytest.mark.parametrize("segments, message", [
     ([["Cargo"]], "segments[0]: expected a (label, duration) pair, got ['Cargo']"),
     ([["Cargo", 0]], "segments[0]: duration must be a positive integer, got 0"),
@@ -306,11 +327,11 @@ def test_load_simulation_config_field_paths(tmp_path, mutate, message):
     ([], "segments: scenario needs at least one segment"),
 ], ids=["not-a-pair", "zero-duration", "unknown-label", "unhashable-label", "empty"])
 def test_segment_errors_name_the_field_once(tmp_path, segments, message):
-    # Scenario's own message, which leads with the field, is passed on unchanged
-    data = dict(VALID_CONFIG, segments=segments)
+    # Scenario's own message, which leads with the field, is passed on after the file's path
+    path = write_json(tmp_path, "sim.json", dict(VALID_CONFIG, segments=segments))
     with pytest.raises(ConfigError) as raised:
-        load_simulation_config(write_json(tmp_path, "sim.json", data))
-    assert str(raised.value) == message
+        load_simulation_config(path)
+    assert str(raised.value) == "%s: %s" % (path, message)
 
 
 def test_load_simulation_config_reads_a_leading_byte_order_mark(tmp_path):
@@ -775,6 +796,27 @@ def test_writers_refuse_exactly_the_frames_that_repeat_a_column_name(labels, wri
             _write(writer, frame)
     else:
         _write(writer, frame)
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_a_traces_subsets_are_the_columns_of_every_reader_of_its_masses(m):
+    frame = make_frame(["L%d" % i for i in range(m)])
+    masses = np.arange(1.0, m + 2.0)[None, :] / 64  # a distinct mass per column
+    trace = AveragedTrace(RuleConfig(Rule.PCR5), frame, ("L1",), masses, np.array([0.5]))
+    assert trace.subsets == [1 << i for i in range(m)] + [(1 << m) - 1]
+    cfg = MonteCarloConfig(scenario=Scenario(frame, (("L1", 1),)), confusion=uniform_diagonal_confusion(frame, 0.9),
+                           rules=(trace.rule,), runs=1, master_seed=0)
+    header, row = "".join(traces_csv_blocks(cfg, [trace])).splitlines()[1:]
+    cells = dict(zip(header.split(","), row.split(",")))
+    columns = {"m_" + sanitize_column(frame.format_subset(bits)): format_mass(mass)
+               for bits, mass in zip(trace.subsets, masses[0])}
+    assert {name: cell for name, cell in cells.items() if name.startswith("m_") and cell != "0"} == columns
+    dense = trace.mean_masses
+    for bits, mass in zip(trace.subsets, masses[0]):
+        assert trace.mass(1, bits) == dense[0, bits - 1] == mass
+    assert np.count_nonzero(dense) == m + 1
+    names = ["m_" + label for label in frame.labels]
+    assert trace_plot_data(trace) == "# scan %s\n1 %s\n" % (" ".join(names), " ".join(map(format_mass, masses[0, :m])))
 
 
 def test_plot_data_reads_the_singleton_columns():

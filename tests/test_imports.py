@@ -45,6 +45,7 @@ SCALAR_WORKFLOW = "\n".join([
     "for rule in evidfuse.default_rules():",
     "    evidfuse.combine(rule, m1, m2)",
     "assert evidfuse.cli.main(['fuse', 'a.json', 'b.json', '--rule', 'pcr5']) == 0",
+    "assert evidfuse.cli.main(['fuse', 'a.json', 'b.json', '--rule', 'pcr5', '--report', '--format', 'csv']) == 0",
     "assert evidfuse.cli.main(['track', 'decls.txt', '--confusion', 'cm.json', '--rule', 'tcn',",
     "                          '--tnorm', 'min', '--tconorm', 'max', '-o', 'trace.csv']) == 0",
 ])
