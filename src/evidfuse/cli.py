@@ -142,6 +142,25 @@ def _cmd_track(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _refuse_unwritable(output: str, plot_data: str | None) -> None:
+    """Raise, before a simulation is spent on them, the OSError that writing
+    the outputs would meet after it, and change nothing on disk: a plot-data
+    path taken by a file, or a CSV path that cannot be opened. A CSV inside a
+    plot-data directory still to be made is opened only once it is made."""
+    if plot_data is not None and not os.path.isdir(plot_data):
+        if os.path.lexists(plot_data):
+            os.makedirs(plot_data, exist_ok=True)  # raises the FileExistsError it would raise later
+        directory = os.path.abspath(plot_data)
+        if os.path.commonpath([os.path.abspath(output), directory]) == directory:
+            return
+    existed = os.path.lexists(output)
+    if existed and not (os.path.isfile(output) or os.path.isdir(output)):
+        return  # a pipe or a device, which opening may wait on
+    open(output, "a").close()  # appends nothing, so a file that was there is unchanged
+    if not existed:
+        os.remove(output)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_simulation_config(args.config)
     overrides = {name: value for name, value in (("runs", args.runs), ("master_seed", args.seed)) if value is not None}
@@ -152,6 +171,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if overrides:  # one rebuild, validated once
             cfg = replace(cfg, **overrides)
         _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
+        _refuse_unwritable(args.output, args.plot_data)
         traces = run_monte_carlo(cfg, workers=workers)
     except ConfigError as exc:
         raise _in_flags(exc) from None
@@ -244,8 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of :func:`main`, built on its first call and kept for the next.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (TotalConflictError, VanishingConsensusError) as exc:

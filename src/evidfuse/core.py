@@ -257,7 +257,8 @@ class MassFunction(Value):
     set never appears and the total is 1 within :data:`SUM_TOLERANCE`. Treat
     instances (including the ``masses`` dict) as read-only values.
 
-    The constructor is the only check of a mass function, so the rules take
+    The constructor's check, :func:`_checked_masses`, is the only check of a
+    mass function (:func:`make_bba` runs it itself), so the rules take
     their inputs as valid. Each key is the ``int`` bitmask of a nonempty
     subset of ``frame`` or its ``A|B`` spelling, and no subset is given
     twice; each mass is a real number (not a ``bool``) in ``[0, 1]``, and
@@ -274,35 +275,7 @@ class MassFunction(Value):
     masses: dict[int, float]
 
     def __post_init__(self) -> None:
-        frame, entries = self.frame, self.masses
-        if not isinstance(frame, Frame):
-            raise FrameError("frame: expected a Frame, got %r" % (frame,))
-        if not isinstance(entries, Mapping):
-            raise MassFunctionError("masses: expected a mapping of focal sets to masses, got %r" % (entries,))
-        full, most = frame.full_set, 1.0 + SUM_TOLERANCE  # a larger mass cannot total 1
-        masses: dict[int, float] = {}
-        for key, value in entries.items():
-            if type(key) is not int or not 0 < key <= full:
-                try:
-                    key = _coerce_subset(frame, key)
-                except FrameError as exc:
-                    raise FrameError("masses: %s" % exc) from None
-                if not key:
-                    raise MassFunctionError("masses: mass assigned to the empty set")
-            if type(value) is not float and _is_real(value) and 0.0 <= value <= most:
-                value = float(value)  # in range, so float() cannot overflow
-            if type(value) is not float or not 0.0 <= value <= most:  # NaN fails too
-                raise MassFunctionError("masses: mass %r on %s is not a number in [0, 1]"
-                                        % (value, frame.format_subset(key)))
-            if key in masses:
-                raise MassFunctionError("masses: duplicate focal set %s" % frame.format_subset(key))
-            masses[key] = value
-        total = fsum(masses.values())
-        if not abs(total - 1.0) <= SUM_TOLERANCE:
-            raise MassFunctionError("masses sum to %.17g, not 1" % total)
-        if not all(masses.values()):
-            masses = {bits: value for bits, value in masses.items() if value}
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "masses", _checked_masses(self.frame, self.masses)[0])
 
     def mass(self, key: object) -> float:
         """Mass of a focal set (0.0 for non-focal subsets)."""
@@ -316,18 +289,53 @@ class MassFunction(Value):
         return "{%s}" % parts
 
 
+def _checked_masses(frame: Frame, entries: Mapping[object, float]) -> tuple[dict[int, float], float]:
+    """The check of a :class:`MassFunction`: its masses as a fresh dict of
+    nonzero floats by bitmask, and their accurate total."""
+    if not isinstance(frame, Frame):
+        raise FrameError("frame: expected a Frame, got %r" % (frame,))
+    if not isinstance(entries, Mapping):
+        raise MassFunctionError("masses: expected a mapping of focal sets to masses, got %r" % (entries,))
+    full, most = frame.full_set, 1.0 + SUM_TOLERANCE  # a larger mass cannot total 1
+    masses: dict[int, float] = {}
+    for key, value in entries.items():
+        if type(key) is not int or not 0 < key <= full:
+            try:
+                key = _coerce_subset(frame, key)
+            except FrameError as exc:
+                raise FrameError("masses: %s" % exc) from None
+            if not key:
+                raise MassFunctionError("masses: mass assigned to the empty set")
+        if type(value) is not float and _is_real(value) and 0.0 <= value <= most:
+            value = float(value)  # in range, so float() cannot overflow
+        if type(value) is not float or not 0.0 <= value <= most:  # NaN fails too
+            raise MassFunctionError("masses: mass %r on %s is not a number in [0, 1]"
+                                    % (value, frame.format_subset(key)))
+        if key in masses:
+            raise MassFunctionError("masses: duplicate focal set %s" % frame.format_subset(key))
+        masses[key] = value
+    total = fsum(masses.values())
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
+        raise MassFunctionError("masses sum to %.17g, not 1" % total)
+    if not all(masses.values()):
+        masses = {bits: value for bits, value in masses.items() if value}
+    return masses, total
+
+
 def make_bba(frame: Frame, entries: Mapping[object, float]) -> MassFunction:
     """A :class:`MassFunction` of user-supplied entries, exactly rescaled.
 
     The entries pass the constructor's checks, then are divided by their
     accurate sum unless it is exactly 1.0, so the stored masses of every
-    assignment built here total 1 up to one unit in the last place.
+    assignment built here total 1 up to one unit in the last place. The
+    checks give that sum, so an input that totals 1.0 is summed once.
     """
-    m = MassFunction(frame, entries)
-    total = fsum(m.masses.values())
-    if total == 1.0:
-        return m
-    return MassFunction(frame, {bits: value / total for bits, value in m.masses.items()})
+    masses, total = _checked_masses(frame, entries)
+    if total != 1.0:
+        return MassFunction(frame, {bits: value / total for bits, value in masses.items()})
+    m = object.__new__(MassFunction)  # its fields passed the constructor's checks above
+    vars(m).update(frame=frame, masses=masses)
+    return m
 
 
 def vacuous_bba(frame: Frame) -> MassFunction:

@@ -40,10 +40,11 @@ reached columns, not with the 2^M - 1 subsets. The simulation CSV streams:
 :func:`traces_csv_blocks`, its one writer, checks every trace on the call and
 then formats one block of lines per trace, which the CLI writes as it comes,
 so a writer holds one trace's lines, not the whole file. A frame's column
-names are built once: the writers share the names of the last frame they
-were built for, so one ``simulate`` builds them once for its CSV and its plot
-data. The fuse CSV quotes a subset cell that starts with "#", so a reader
-that skips "#" comment lines keeps its row.
+names and their CSV cells are built once: the writers share those of the last
+frame they were built for, so one ``simulate`` builds them once for its CSV
+and its plot data, and repeated calls over one frame build them once. The fuse
+CSV quotes a subset cell that starts with "#", so a reader that skips "#"
+comment lines keeps its row.
 """
 
 from __future__ import annotations
@@ -273,12 +274,13 @@ def sanitize_column(name: str) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _subset_columns(frame: Frame) -> tuple[tuple[str, ...], str]:
-    """Column names of the nonempty subsets in canonical order, and the mapping
-    comment; each subset is spelled from the subset without its top label.
-    Two subsets whose sanitized names coincide are a FrameError. The result for
-    the last frame is kept, so the writers of one frame build its names once;
-    the names are a tuple, so no caller can change the kept value."""
+def _subset_columns(frame: Frame) -> tuple[tuple[str, ...], str, str]:
+    """Column names of the nonempty subsets in canonical order, the same names
+    as CSV cells, and the mapping comment; each subset is spelled from the
+    subset without its top label. Two subsets whose sanitized names coincide
+    are a FrameError. The result for the last frame is kept, so the writers of
+    one frame build and encode its names once; the names are a tuple, so no
+    caller can change the kept value."""
     spellings, names = [""], ["m"]
     for label in frame.labels:
         column = "_" + sanitize_column(label)
@@ -289,7 +291,7 @@ def _subset_columns(frame: Frame) -> tuple[tuple[str, ...], str]:
         name, spelling = next((n, s) for n, s in zip(names, spellings) if owners[n] != s)
         raise FrameError("subsets %s and %s share the column name %s" % (spelling, owners[name], name))
     mapping = ", ".join("%s = %s" % pair for pair in zip(names[1:], spellings[1:]))
-    return tuple(names[1:]), "# columns: %s" % mapping
+    return tuple(names[1:]), _csv_cells(names[1:]), "# columns: %s" % mapping
 
 
 def format_mass(value: float) -> str:
@@ -339,11 +341,11 @@ def fusion_csv(fused: MassFunction, report: dict | None) -> str:
 
 def track_records_to_csv(records: Sequence[TrackRecord], frame: Frame) -> str:
     """Trace CSV: scan, declared, decision, then one mass column per subset."""
-    names, comment = _subset_columns(frame)
+    _, cells, comment = _subset_columns(frame)
     live = sorted({bits - 1 for record in records for bits in record.posterior.masses})
     rows = [[record.posterior.masses.get(i + 1, 0.0) for i in live] for record in records]
     heads = [_csv_cells([str(r.scan), r.declared, r.decision]) for r in records]
-    lines = [comment, _csv_cells(["scan", "declared", "decision", *names])]
+    lines = [comment, "scan,declared,decision," + cells]
     lines += _mass_lines(heads, rows, live, frame.full_set)
     return "\n".join(lines) + "\n"
 
@@ -354,7 +356,7 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) ->
     then scan. Every trace is checked against ``cfg`` by the call itself,
     before any block is formatted, so a caller that opens its file after the
     call leaves no file for a refused trace."""
-    names, comment = _subset_columns(cfg.frame)
+    _, cells, comment = _subset_columns(cfg.frame)
     truth = cfg.scenario.expand()
     for trace in traces:
         if trace.frame != cfg.frame:
@@ -362,12 +364,13 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) ->
         if trace.truth != truth:
             raise FrameMismatchError("the trace of rule %s is not over the config's scenario" % trace.rule.describe())
     true_types = {label: _csv_cells([label]) for label in cfg.frame.labels}
-    header = _csv_cells([*RuleConfig._fields, "scan", "true_type", *names, "correct_rate"])
+    scans = [",%d,%s" % (k, true_types[t]) for k, t in enumerate(truth, 1)]  # each trace's, after its rule
+    header = "%s,%s,correct_rate" % (_csv_cells([*RuleConfig._fields, "scan", "true_type"]), cells)
 
     def block(trace: AveragedTrace) -> str:
         spelling = rule_config_to_json(trace.rule)
         labels = _csv_cells([spelling.get(key, "") for key in RuleConfig._fields])
-        heads = ["%s,%d,%s" % (labels, k, true_types[t]) for k, t in enumerate(truth, 1)]
+        heads = [labels + scan for scan in scans]
         rows = [row + [rate] for row, rate in zip(trace.masses.tolist(), trace.correct_rate.tolist())]
         live = [bits - 1 for bits in trace.subsets] + [cfg.frame.full_set]  # then correct_rate
         return "\n".join(_mass_lines(heads, rows, live, cfg.frame.full_set + 1)) + "\n"
@@ -382,7 +385,7 @@ def rule_file_tag(cfg: RuleConfig) -> str:
 
 def trace_plot_data(trace: AveragedTrace) -> str:
     """Gnuplot-ready columns: scan, then the mean mass of every singleton."""
-    names, _ = _subset_columns(trace.frame)
+    names = _subset_columns(trace.frame)[0]
     singletons = trace.subsets[:-1]
     lines = ["# scan " + " ".join(names[bits - 1] for bits in singletons)]
     template = " ".join(["%d"] + [_MASS_FIELD] * len(singletons))

@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import os
 import random
+import shutil
 import subprocess
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from evidfuse.core import replace
 
@@ -472,6 +475,73 @@ def test_simulate_plot_data_on_a_file_exits_2_and_writes_no_csv(workdir, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["-o", "missing/x.csv"], "[Errno 2] No such file or directory: '{tmp}/missing/x.csv'"),
+    (["--plot-data", "plots", "-o", "missing/x.csv"], "[Errno 2] No such file or directory: '{tmp}/missing/x.csv'"),
+    (["-o", "taken"], "[Errno 21] Is a directory: '{tmp}/taken'"),
+    (["--plot-data", "old.csv", "-o", "x.csv"], "[Errno 17] File exists: '{tmp}/old.csv'"),
+], ids=["csv-in-a-missing-directory", "csv-in-a-missing-directory-with-plot-data", "csv-on-a-directory",
+        "plot-data-on-a-file"])
+def test_simulate_refuses_an_unwritable_output_before_it_simulates(workdir, tmp_path, capsys, monkeypatch,
+                                                                  flags, message):
+    def simulate(cfg, workers):
+        raise AssertionError("simulated for an output it cannot write")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", simulate)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "old.csv").write_text("old\n", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    flags = [str(tmp_path / flag) if flag[0] != "-" else flag for flag in flags]
+    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1", *flags]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message.format(tmp=tmp_path)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "old.csv").read_text(encoding="utf-8") == "old\n"
+
+
+def test_simulate_failing_after_the_output_check_leaves_an_old_csv_as_it_was(tmp_path, capsys):
+    config, out = tmp_path / "conflict.json", tmp_path / "conflict.csv"
+    config.write_text(json.dumps({  # Dempster meets total conflict at scan 3
+        "frame": ["Fighter", "Cargo"], "confusion": [[1.0, 0.0], [0.0, 1.0]],
+        "segments": [["Cargo", 2], ["Fighter", 2]], "runs": 40, "master_seed": 1,
+        "rules": [{"rule": "dempster"}],
+    }), encoding="utf-8")
+    out.write_text("old\n", encoding="utf-8")
+    assert main(["simulate", str(config), "--threads", "1", "--plot-data", str(tmp_path / "plots"),
+                 "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: run 0, rule dempster: scan 3: total conflict")
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conflict.csv", "conflict.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_simulate_opens_a_named_pipe_only_to_write_it(workdir, tmp_path):
+    # an early open and close would hand the pipe's reader an end of file before any line
+    pipe, text = tmp_path / "pipe", []
+    os.mkfifo(pipe)
+    reader = threading.Thread(target=lambda: text.append(pipe.read_text(encoding="utf-8")), daemon=True)
+    reader.start()
+    writer = subprocess.Popen([sys.executable, "-m", "evidfuse.cli", "simulate", path(workdir, "sim.json"),
+                               "--runs", "8", "--threads", "1", "-o", str(pipe)])
+    try:
+        assert writer.wait(timeout=30) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and text[0].startswith("# columns: ") and text[0].count("\n") == 2 + 3 * 7
+    finally:
+        writer.kill()
+        writer.wait()
+        try:  # a reader still waiting for a writer gets its end of file
+            os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+
+
+def test_simulate_writes_its_csv_into_the_plot_data_directory_it_makes(workdir, tmp_path):
+    plots = tmp_path / "new" / "plots"
+    assert main(["simulate", path(workdir, "sim.json"), "--threads", "1", "--plot-data", str(plots),
+                 "-o", str(plots / "res.csv")]) == 0
+    assert sorted(p.name for p in plots.iterdir()) == ["dempster.dat", "pcr5.dat", "res.csv", "tcn_min_max.dat"]
+
+
 def test_simulate_invalid_config_exits_2(workdir, tmp_path, capsys):
     bad = workdir / "bad.json"
     config = json.loads((workdir / "sim.json").read_text(encoding="utf-8"))
@@ -702,6 +772,79 @@ def test_help_mentions_every_flag(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text
+
+
+@pytest.fixture
+def no_parser(monkeypatch):
+    """``main`` with no kept parser: its next call builds one."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_main_builds_its_parser_once(workdir, tmp_path, monkeypatch, capsys, no_parser):
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    fuse = ["fuse", path(workdir, "m1.json"), path(workdir, "m2.json"), "--rule", "pcr5"]
+    assert main(fuse) == 0
+    assert main(fuse + ["--format", "csv"]) == 0
+    with pytest.raises(SystemExit):
+        main(["track", path(workdir, "decls.txt")])
+    assert main(["track", path(workdir, "decls.txt"), "--confusion", path(workdir, "cm.json"), "--rule", "pcr5",
+                 "-o", str(tmp_path / "t.csv")]) == 0
+    assert builds == [1]
+
+
+def run_calls(calls, tmp_path, capsys, fresh):
+    """Exit code, stdout, stderr and the files in ``tmp_path / "out"`` of each
+    call in turn, each call's files removed before the next; ``fresh`` drops
+    the kept parser before every call."""
+    seen = []
+    for argv in calls:
+        (tmp_path / "out").mkdir()
+        if fresh:
+            cli._parser = None
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        files = {str(p.relative_to(tmp_path)): p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+        seen.append((code, *capsys.readouterr(), files))
+        shutil.rmtree(tmp_path / "out")
+    return seen
+
+
+def test_a_kept_parser_serves_each_call_as_a_fresh_one_does(workdir, tmp_path, capsys, no_parser):
+    # each pair: the flags of the first call must not reach the second
+    out = str(tmp_path / "out" / "x.csv")
+    fuse = ["fuse", path(workdir, "m1.json"), path(workdir, "m2.json"), "--rule", "pcr5"]
+    track = ["track", path(workdir, "decls.txt"), "--confusion", path(workdir, "cm.json"), "--rule", "tcn",
+             "--tnorm", "min", "--tconorm", "max", "-o", out]
+    simulate = ["simulate", path(workdir, "sim.json"), "--runs", "8", "--threads", "1", "-o", out]
+    calls = [
+        fuse + ["--report", "--format", "csv"], fuse,
+        track + ["--criterion", "pignistic"], track,
+        simulate + ["--plot-data", str(tmp_path / "out" / "plots")], simulate,
+        simulate[:-2], simulate,
+    ]
+    kept = run_calls(calls, tmp_path, capsys, fresh=False)
+    assert run_calls(calls, tmp_path, capsys, fresh=True) == kept
+    assert [seen[0] for seen in kept] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert kept[0][1] != kept[1][1]
+    assert len(kept[4][3]) == 1 + 3 and len(kept[5][3]) == 1
+
+
+@pytest.mark.parametrize("command", [[], ["fuse"], ["track"], ["simulate"]], ids=["evidfuse", "fuse", "track",
+                                                                                  "simulate"])
+def test_the_help_of_a_kept_parser_is_that_of_a_fresh_one(workdir, tmp_path, capsys, command):
+    assert main(["fuse", path(workdir, "m1.json"), path(workdir, "m2.json"), "--rule", "pcr5"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    kept = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(command + ["--help"])
+    assert capsys.readouterr().out == kept
 
 
 def test_module_invocation(workdir):

@@ -38,6 +38,7 @@ from evidfuse import (
 from evidfuse import cli
 from evidfuse.core import MassFunction
 from evidfuse.fileio import (
+    _csv_cells,
     _subset_columns,
     format_mass,
     frame_from_json,
@@ -654,6 +655,32 @@ def test_engine_traces_write_the_bytes_of_the_dense_writers(m, segments, rules):
     assert "".join(traces_csv_blocks(cfg, traces)) == seed_fileio.traces_to_csv(cfg, traces)
     for trace in traces:
         assert trace_plot_data(trace) == seed_fileio.trace_plot_data(trace)
+
+
+def test_the_kept_header_cells_follow_each_frame_in_turn():
+    # one process: two frames, a third whose labels need sanitizing, then the first again
+    def simulation_header(labels):
+        frame = make_frame(labels)
+        cfg = MonteCarloConfig(scenario=Scenario(frame, ((labels[-1], 2),)),
+                               confusion=uniform_diagonal_confusion(frame, 0.8), rules=default_rules(),
+                               runs=2, master_seed=len(labels))
+        header = "".join(traces_csv_blocks(cfg, run_monte_carlo(cfg))).split("\n")[1]
+        return header, ["rule", "tnorm", "tconorm", "scan", "true_type", *names(frame), "correct_rate"]
+
+    def track_header(labels):
+        frame = make_frame(labels)
+        records = run_track(labels, uniform_diagonal_confusion(frame, 0.8), RuleConfig(Rule.PCR5))
+        return track_records_to_csv(records, frame).split("\n")[1], ["scan", "declared", "decision", *names(frame)]
+
+    def names(frame):
+        return seed_fileio._subset_columns(frame)[1]
+
+    _subset_columns.cache_clear()
+    two, ten = ["Fighter", "Cargo"], ["L%d" % i for i in range(10)]
+    for header, cells in [simulation_header(two), simulation_header(ten), track_header(["Type A", "x,y"]),
+                          simulation_header(two)]:
+        assert header == _csv_cells(cells)
+    assert _subset_columns.cache_info().misses == 4
 
 
 def test_simulation_csv_refuses_a_trace_over_another_frame():

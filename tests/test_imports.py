@@ -99,3 +99,13 @@ def test_a_simulation_without_a_pool_loads_only_numpy(tmp_path, body):
 def test_a_pool_loads_its_modules(tmp_path):
     body = SLAB_PER_BLOCK + "\nevidfuse.run_monte_carlo(cfg, workers=2)"
     assert loaded_after(tmp_path, body) == list(ENGINE_ONLY)
+
+
+def test_the_cli_builds_its_parser_on_its_first_call_not_at_import(tmp_path):
+    write_scalar_inputs(tmp_path)
+    loaded_after(tmp_path, "\n".join([
+        "import evidfuse.cli as cli",
+        "assert cli._parser is None",
+        "assert cli.main(['fuse', 'a.json', 'b.json', '--rule', 'pcr5']) == 0",
+        "assert cli._parser is not None",
+    ]))
