@@ -21,7 +21,8 @@ import argparse
 import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager, suppress
 
 from .core import DecisionCriterion, MassFunction, conjunctive_consensus, replace
 from .errors import (
@@ -88,6 +89,36 @@ def _rule_from_args(args: argparse.Namespace) -> RuleConfig:
         raise _in_flags(exc) from None
 
 
+@contextmanager
+def _outputs(files: list[str], directory: str | None = None) -> Iterator[None]:
+    """Make every output before the work: the directory with its missing
+    parents, then each file, opened for append, which writes nothing to a file
+    that is there. A pipe or a device is not opened, as opening may wait on
+    its reader. If the work or a write raises, remove what this made, newest
+    first, so that an output that cannot be made fails before the work and a
+    failed run leaves no file or directory of its own."""
+    made = []  # (remove, path), each recorded as it is about to be made
+    try:
+        if directory is not None:
+            head = os.path.abspath(directory)
+            while not os.path.lexists(head):
+                made.insert(0, (os.rmdir, head))
+                head = os.path.dirname(head)
+            os.makedirs(directory, exist_ok=True)
+        for path in files:
+            if not os.path.lexists(path):
+                made.append((os.remove, path))
+            elif not (os.path.isfile(path) or os.path.isdir(path)):
+                continue  # a pipe or a device
+            open(path, "a").close()
+        yield
+    except BaseException:
+        for remove, path in reversed(made):
+            with suppress(OSError):  # its making may have failed; the error to report ended the run
+                remove(path)
+        raise
+
+
 def _write_blocks(path: str, blocks: Iterable[str]) -> None:
     """Write each block to the file as it comes, so one block is held at a time."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -133,8 +164,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
     confusion = load_confusion(args.confusion)
     declarations = load_declarations(args.declarations, confusion.frame)
     criterion = DecisionCriterion(args.criterion)
-    records = run_track(declarations, confusion, cfg, criterion)
-    _write_blocks(args.output, [track_records_to_csv(records, confusion.frame)])
+    with _outputs([args.output]):
+        records = run_track(declarations, confusion, cfg, criterion)
+        _write_blocks(args.output, [track_records_to_csv(records, confusion.frame)])
     return 0
 
 
@@ -142,46 +174,27 @@ def _cmd_track(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _refuse_unwritable(output: str, plot_data: str | None) -> None:
-    """Raise, before a simulation is spent on them, the OSError that writing
-    the outputs would meet after it, and change nothing on disk: a plot-data
-    path taken by a file, or a CSV path that cannot be opened. A CSV inside a
-    plot-data directory still to be made is opened only once it is made."""
-    if plot_data is not None and not os.path.isdir(plot_data):
-        if os.path.lexists(plot_data):
-            os.makedirs(plot_data, exist_ok=True)  # raises the FileExistsError it would raise later
-        directory = os.path.abspath(plot_data)
-        if os.path.commonpath([os.path.abspath(output), directory]) == directory:
-            return
-    existed = os.path.lexists(output)
-    if existed and not (os.path.isfile(output) or os.path.isdir(output)):
-        return  # a pipe or a device, which opening may wait on
-    open(output, "a").close()  # appends nothing, so a file that was there is unchanged
-    if not existed:
-        os.remove(output)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_simulation_config(args.config)
     overrides = {name: value for name, value in (("runs", args.runs), ("master_seed", args.seed)) if value is not None}
     workers = args.threads
     if workers is None:  # the CPUs this process may run on, where the platform says
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    plotted = cfg.rules if args.plot_data is not None else ()
+    plots = [os.path.join(args.plot_data, rule_file_tag(rule) + ".dat") for rule in plotted]
+    if plots and os.path.abspath(args.output) in map(os.path.abspath, plots):
+        raise ConfigError("-o and --plot-data both name %s" % args.output)
     try:
         if overrides:  # one rebuild, validated once
             cfg = replace(cfg, **overrides)
         _subset_columns(cfg.frame)  # a frame the writers refuse fails before the simulation
-        _refuse_unwritable(args.output, args.plot_data)
-        traces = run_monte_carlo(cfg, workers=workers)
+        with _outputs([args.output, *plots], args.plot_data):
+            traces = run_monte_carlo(cfg, workers=workers)
+            _write_blocks(args.output, traces_csv_blocks(cfg, traces))
+            for path, trace in zip(plots, traces):
+                _write_blocks(path, [trace_plot_data(trace)])
     except ConfigError as exc:
         raise _in_flags(exc) from None
-    if args.plot_data is not None:  # before the CSV, so a failure leaves no file
-        os.makedirs(args.plot_data, exist_ok=True)
-    _write_blocks(args.output, traces_csv_blocks(cfg, traces))
-    if args.plot_data is not None:
-        for rule, trace in zip(cfg.rules, traces):
-            path = os.path.join(args.plot_data, rule_file_tag(rule) + ".dat")
-            _write_blocks(path, [trace_plot_data(trace)])
     return 0
 
 

@@ -354,8 +354,8 @@ def traces_csv_blocks(cfg: MonteCarloConfig, traces: Sequence[AveragedTrace]) ->
     """Averaged-trace CSV in blocks of whole lines: the column comment and the
     header, then one block per trace, one row per (rule, scan), in rule order
     then scan. Every trace is checked against ``cfg`` by the call itself,
-    before any block is formatted, so a caller that opens its file after the
-    call leaves no file for a refused trace."""
+    before any block is formatted, so that for a refused trace an existing
+    file is not half rewritten."""
     _, cells, comment = _subset_columns(cfg.frame)
     truth = cfg.scenario.expand()
     for trace in traces:

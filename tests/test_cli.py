@@ -325,6 +325,19 @@ def test_track_unknown_label_exits_2(workdir, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_track_refuses_an_unwritable_output_before_it_tracks(workdir, tmp_path, capsys, monkeypatch):
+    def track(*args):
+        raise AssertionError("tracked for an output it cannot write")
+
+    monkeypatch.setattr(cli, "run_track", track)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["track", path(workdir, "decls.txt"), "--confusion", path(workdir, "cm.json"),
+                 "--rule", "pcr5", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '%s'\n" % out
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_track_empty_declarations_exits_2(workdir, tmp_path, capsys):
     decls = workdir / "empty.txt"
     decls.write_text("", encoding="utf-8")
@@ -480,15 +493,21 @@ def test_simulate_plot_data_on_a_file_exits_2_and_writes_no_csv(workdir, tmp_pat
     (["--plot-data", "plots", "-o", "missing/x.csv"], "[Errno 2] No such file or directory: '{tmp}/missing/x.csv'"),
     (["-o", "taken"], "[Errno 21] Is a directory: '{tmp}/taken'"),
     (["--plot-data", "old.csv", "-o", "x.csv"], "[Errno 17] File exists: '{tmp}/old.csv'"),
+    (["--plot-data", "old.csv/sub", "-o", "x.csv"], "[Errno 20] Not a directory: '{tmp}/old.csv/sub'"),
+    (["--plot-data=", "-o", "x.csv"], "[Errno 2] No such file or directory: ''"),
+    (["--plot-data", "plots", "-o", "plots/sub/x.csv"], "[Errno 2] No such file or directory: '{tmp}/plots/sub/x.csv'"),
+    (["--plot-data", "taken", "-o", "x.csv"], "[Errno 21] Is a directory: '{tmp}/taken/pcr5.dat'"),
+    (["--plot-data", "plots", "-o", "plots/pcr5.dat"], "-o and --plot-data both name {tmp}/plots/pcr5.dat"),
 ], ids=["csv-in-a-missing-directory", "csv-in-a-missing-directory-with-plot-data", "csv-on-a-directory",
-        "plot-data-on-a-file"])
+        "plot-data-on-a-file", "plot-data-under-a-file", "empty-plot-data", "csv-in-a-missing-plot-data-subdirectory",
+        "plot-data-file-on-a-directory", "csv-on-a-plot-data-file"])
 def test_simulate_refuses_an_unwritable_output_before_it_simulates(workdir, tmp_path, capsys, monkeypatch,
                                                                   flags, message):
     def simulate(cfg, workers):
         raise AssertionError("simulated for an output it cannot write")
 
     monkeypatch.setattr(cli, "run_monte_carlo", simulate)
-    (tmp_path / "taken").mkdir()
+    (tmp_path / "taken" / "pcr5.dat").mkdir(parents=True)
     (tmp_path / "old.csv").write_text("old\n", encoding="utf-8")
     before = sorted(tmp_path.rglob("*"))
     flags = [str(tmp_path / flag) if flag[0] != "-" else flag for flag in flags]
@@ -511,6 +530,19 @@ def test_simulate_failing_after_the_output_check_leaves_an_old_csv_as_it_was(tmp
     assert capsys.readouterr().err.startswith("error: run 0, rule dempster: scan 3: total conflict")
     assert out.read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conflict.csv", "conflict.json"]
+
+
+def test_simulate_failing_after_the_output_check_removes_the_directories_it_made(tmp_path, capsys):
+    config = tmp_path / "conflict.json"
+    config.write_text(json.dumps({  # Dempster meets total conflict at scan 3
+        "frame": ["Fighter", "Cargo"], "confusion": [[1.0, 0.0], [0.0, 1.0]],
+        "segments": [["Cargo", 2], ["Fighter", 2]], "runs": 40, "master_seed": 1,
+        "rules": [{"rule": "pcr5"}, {"rule": "dempster"}],
+    }), encoding="utf-8")
+    assert main(["simulate", str(config), "--threads", "1", "--plot-data", str(tmp_path / "new" / "deeper"),
+                 "-o", str(tmp_path / "conflict.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error: run 0, rule dempster: scan 3: total conflict")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conflict.json"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

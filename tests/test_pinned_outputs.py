@@ -1,9 +1,10 @@
 """The five pinned output hashes, reproduced in-process, and checks of the CI workflow.
 
 Each ``simulate`` pin is checked on one worker and on a real two-process
-pool. The last tests check that every hash ``.github/workflows/ci.yml`` feeds
-to ``sha256sum -c`` is one of this table's, and that the workflow loads and
-each of its scripts parses as bash.
+pool, and so are the float64 bits of the traces behind the CSV. The last
+tests check that every hash ``.github/workflows/ci.yml`` feeds to
+``sha256sum -c`` is one of this table's, and that the workflow loads and each
+of its scripts parses as bash.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from evidfuse import engine
+from evidfuse import cli, engine
 from evidfuse.cli import main
 from evidfuse.fileio import load_simulation_config
 
@@ -87,10 +88,34 @@ PINNED = {
 }
 
 
+#: simulate pin name -> sha256 of its traces' bits: each trace's ``masses``
+#: then its ``correct_rate`` as little-endian float64, in rule order. The CSV
+#: prints 12 significant digits, so a change to the order of the engine's sums
+#: or of its slab merge can keep every CSV byte; it cannot keep these.
+BITS = {
+    "default": "4708dba221ade6b919fb64ca7d4e3af5f92ff651b641731726c4e44509c23361",
+    "three-label-belief": "e5e65ed974fdb8170e5fb602af875e437d12589ac494e710a0b8d41dc742e71c",
+    "three-label-pignistic": "e5e65ed974fdb8170e5fb602af875e437d12589ac494e710a0b8d41dc742e71c",
+    "default-pignistic": "7c59052618c65ca1a1f1eb48daa34df5d1fc5279362977576a4d2d29e6576c47",
+}
+
+
+def trace_bits(traces):
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(trace.masses.astype("<f8").tobytes())
+        digest.update(trace.correct_rate.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", PINNED)
-def test_an_output_ci_pins_keeps_its_bytes(name, tmp_path):
+def test_an_output_ci_pins_keeps_its_bytes(name, tmp_path, monkeypatch):
+    # the traces of the simulations the CSV pin runs, so the bits cost no run of their own
+    runs, real = [], cli.run_monte_carlo
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg, workers: runs.append(real(cfg, workers)) or runs[-1])
     digest, outputs = PINNED[name]
     assert {hashlib.sha256(output).hexdigest() for output in outputs(tmp_path)} == {digest}
+    assert [trace_bits(traces) for traces in runs] == ([BITS[name]] * 2 if name in BITS else [])
 
 
 def test_reversed_rules_reverse_only_the_csv_rule_blocks(tmp_path):
