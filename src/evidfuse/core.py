@@ -38,7 +38,6 @@ import enum
 from collections import defaultdict
 from functools import cached_property
 from math import fsum
-from numbers import Real
 from operator import attrgetter, itemgetter, mul
 from collections.abc import Callable, Iterable, Mapping
 
@@ -243,11 +242,16 @@ def _is_integer(value: object) -> bool:
 
 
 def _is_real(value: object) -> bool:
-    """An int, a float or a numpy real scalar, but not a bool: a mass or a
-    probability is never read from ``True`` or from a numeric string."""
-    if type(value) is float:  # what every loader gives: skip the ABC check
+    """An int, a float or another real, such as a numpy scalar or a
+    ``Fraction``, but not a bool: a mass or a probability is never read from
+    ``True`` or from a numeric string. A ``float`` or an ``int``, all that the
+    loaders give, is answered without the ``numbers`` module, which is
+    imported only for any other type, so loading inputs never imports it."""
+    if type(value) is float or type(value) is int:
         return True
-    return isinstance(value, Real) and not isinstance(value, bool)
+    import numbers
+
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class MassFunction(Value):

@@ -49,7 +49,6 @@ comment lines keeps its row.
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
 import io
@@ -233,12 +232,15 @@ def load_declarations(path: str, frame: Frame) -> list[str]:
 
 def _read_text(path: str) -> str:
     """Whole file as text with universal newlines, less a leading byte-order
-    mark; bad UTF-8 is a ConfigError."""
+    mark; bad UTF-8 is a ConfigError, whose byte position counts from the
+    start of the file. The mark is dropped here rather than by the
+    ``utf-8-sig`` codec, so loading never imports ``encodings.utf_8_sig``."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise ConfigError("not valid UTF-8 (%s)" % exc) from exc
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _load_json(path: str, kind: str) -> dict:
@@ -299,7 +301,11 @@ def format_mass(value: float) -> str:
 
 
 def _csv_cells(cells: Sequence[str]) -> str:
-    """Cells quoted and joined by the stdlib csv writer, without the line end."""
+    """Cells quoted and joined by the stdlib csv writer, without the line end.
+    ``csv`` is imported here, its only user, so loading inputs and writing
+    JSON never import it."""
+    import csv
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(cells)
     return out.getvalue()[:-1]

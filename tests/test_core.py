@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ class Label(str):
     pass
 
 
-@pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1)])
+@pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1), Fraction(1)])
 def test_make_bba_accepts_ints_floats_and_numpy_reals(value):
     for key in ("Fighter", Label("Fighter"), np.str_("Fighter"), 0b01):  # str subclasses spell as str
         masses = make_bba(FC_FRAME, {key: value}).masses

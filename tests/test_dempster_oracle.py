@@ -18,9 +18,10 @@ column at every scan, from neither the engine, nor the scalar tracker, nor
 the random streams. It catches a defect the engine and the scalar reference
 would share, which the bitwise differential tests cannot see.
 
-The correct rate is left out: where the counts tie, the exact masses tie,
-and the sequential floating-point ones need not, so its closed form does not
-bound the engine's decisions there.
+The correct rate's closed form is left out: where the counts tie, the exact
+masses tie, and the sequential floating-point ones need not, so it does not
+bound the engine's decisions there. Each decision is checked instead: where
+the counts differ, the engine must decide as the count majority does.
 """
 
 import math
@@ -29,7 +30,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evidfuse import MonteCarloConfig, Rule, Scenario, make_frame, run_monte_carlo, uniform_diagonal_confusion
+from evidfuse import (MonteCarloConfig, Rule, RuleConfig, Scenario, engine, make_frame, run_monte_carlo,
+                      uniform_diagonal_confusion)
+from evidfuse.core import replace
 from evidfuse.fileio import load_simulation_config
 from evidfuse.montecarlo import DEFAULT_MASTER_SEED
 
@@ -113,3 +116,28 @@ def test_engine_dempster_means_match_the_closed_form(build):
     assert math.isfinite(z[worst]) and abs(z[worst]) <= Z_BOUND, (
         "scan %d, column %d: engine %r, exact %r, z = %.2f"
         % (worst[0] + 1, worst[1], got[worst], mean[worst], z[worst]))
+
+
+def test_engine_dempster_decisions_follow_the_count_majority_where_the_counts_differ(monkeypatch):
+    # the declarations do not depend on the rules, so Dempster alone sees the
+    # default config's; inline, each block's decisions come in run order
+    cfg = replace(load_simulation_config(str(CONFIG_DIR / "default.json")), rules=(RuleConfig(Rule.DEMPSTER),))
+    decided_right, kept = engine._decided_right, []
+
+    def keep(scores, truth):
+        kept.append(decided_right(scores, truth))
+        return kept[-1]
+
+    monkeypatch.setattr(engine, "_decided_right", keep)
+    trace, = run_monte_carlo(cfg, workers=1)
+    right = np.concatenate(kept, axis=2)[:, 0].T  # (runs, scans)
+    assert np.array_equal(right.mean(axis=0), trace.correct_rate)
+    truth = np.array([cfg.frame.index(label) for label in cfg.scenario.expand()])
+    fighters = np.cumsum(engine._declarations(cfg, truth, 0, cfg.runs) == 0, axis=1)
+    cargos = np.arange(1, len(truth) + 1) - fighters
+    tied = fighters == cargos
+    majority = np.where(fighters > cargos, 0, 1)
+    assert right.shape == tied.shape == (10_000, 100)
+    assert np.array_equal(right[~tied], (majority == truth)[~tied])
+    # an exact tie is decided by rounding, which scores 1 007 of these right
+    assert tied.sum() == 3_740 and right[tied].sum() == 1_007

@@ -193,6 +193,11 @@ def test_load_confusion(tmp_path):
     assert cm.diagonal("Cargo") == 0.9
 
 
+def test_load_confusion_reads_a_leading_byte_order_mark(tmp_path):
+    cm = load_confusion(write_with_bom(tmp_path, "cm.json", json.dumps(VALID_CONFUSION)))
+    assert cm == load_confusion(write_json(tmp_path, "plain.json", VALID_CONFUSION))
+
+
 def test_load_confusion_errors(tmp_path):
     path = write_json(tmp_path, "a.json", {"frame": ["F", "C"], "matrix": [[0.9, 0.1], [0.9, "x"]]})
     with pytest.raises(ConfigError, match=r"^%s: matrix: confusion matrix row 1 has entry 'x', not a number"
@@ -385,6 +390,17 @@ def test_load_declarations_matches_a_label_with_outer_spaces(tmp_path):
 def test_load_declarations_reads_a_leading_byte_order_mark(tmp_path):
     path = write_with_bom(tmp_path, "decls.txt", "Fighter\nCargo\n")
     assert load_declarations(path, FC_FRAME) == ["Fighter", "Cargo"]
+
+
+@pytest.mark.parametrize("load", [load_mass_function, load_confusion, load_simulation_config,
+                                  lambda path: load_declarations(path, FC_FRAME)],
+                         ids=["mass-function", "confusion", "config", "declarations"])
+def test_a_byte_order_mark_before_invalid_utf8_is_still_invalid(tmp_path, load):
+    # the position counts the mark's three bytes: the bad byte is the file's fifth
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xef\xbb\xbf{\xff}")
+    with pytest.raises(ConfigError, match=r"^%s: not valid UTF-8 \(.* in position 4: " % re.escape(str(path))):
+        load(str(path))
 
 
 def test_load_declarations_byte_order_mark_on_a_later_line_is_an_unknown_label(tmp_path):

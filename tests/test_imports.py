@@ -59,12 +59,48 @@ def write_scalar_inputs(tmp_path):
     (tmp_path / "cm.json").write_text(json.dumps({"frame": ["Fighter", "Cargo"],
                                                   "matrix": [[0.9, 0.1], [0.1, 0.9]]}), encoding="utf-8")
     (tmp_path / "decls.txt").write_text("Fighter\nCargo\nCargo\n", encoding="utf-8")
+    (tmp_path / "bom.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(masses).encode("utf-8"))
+    (tmp_path / "cm_int.json").write_text(json.dumps({"frame": ["Fighter", "Cargo"], "matrix": [[1, 0], [0, 1]]}),
+                                          encoding="utf-8")
 
 
 def test_loading_combining_fusing_and_tracking_load_no_engine_module(tmp_path):
     write_scalar_inputs(tmp_path)
     assert loaded_after(tmp_path, SCALAR_WORKFLOW, ENGINE_ONLY + NEVER) == []
     assert (tmp_path / "trace.csv").read_text(encoding="utf-8").count("\n") == 5
+
+
+#: Modules that loading inputs, combining and ``fuse`` with JSON output do not
+#: need: the CSV writer, the ABC of a real that is not a float or an int, and
+#: the codec that would drop a byte-order mark.
+LOAD_PATH_UNUSED = ("csv", "numbers", "encodings.utf_8_sig")
+
+#: Loading one file of each kind, combining and fusing to JSON, on the files
+#: that :func:`write_scalar_inputs` puts in the working directory.
+LOAD_WORKFLOW = "\n".join([
+    "import evidfuse, evidfuse.cli",
+    "from evidfuse.fileio import load_confusion, load_declarations, load_mass_function,"
+    " load_simulation_config",
+    "load_simulation_config(%r)" % str(ROOT / "configs" / "default.json"),
+    "m1, m2 = load_mass_function('bom.json'), load_mass_function('b.json')",
+    "cm = load_confusion('cm_int.json')",
+    "assert cm.rows == ((1.0, 0.0), (0.0, 1.0))",
+    "assert load_declarations('decls.txt', cm.frame) == ['Fighter', 'Cargo', 'Cargo']",
+    "for rule in evidfuse.default_rules():",
+    "    evidfuse.combine(rule, m1, m2)",
+    "assert evidfuse.cli.main(['fuse', 'bom.json', 'b.json', '--rule', 'pcr5', '--report']) == 0",
+])
+
+
+def test_loading_combining_and_fusing_to_json_import_only_what_they_run(tmp_path):
+    write_scalar_inputs(tmp_path)
+    assert loaded_after(tmp_path, LOAD_WORKFLOW, LOAD_PATH_UNUSED + ENGINE_ONLY + NEVER) == []
+
+
+def test_fuse_to_csv_imports_csv_when_it_writes(tmp_path):
+    write_scalar_inputs(tmp_path)
+    body = "import evidfuse.cli\nassert evidfuse.cli.main(['fuse', 'a.json', 'b.json', '--rule', 'pcr5', '--format', 'csv']) == 0"
+    assert loaded_after(tmp_path, body, LOAD_PATH_UNUSED) == ["csv"]
 
 
 def test_without_the_site_module_nothing_loads_typing(tmp_path):
